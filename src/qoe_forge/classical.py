@@ -82,12 +82,6 @@ class TreeNode:
     def is_leaf(self) -> bool:
         return self.feature is None
 
-    def predict_row(self, x) -> float:
-        node = self
-        while not node.is_leaf:
-            node = node.left if x[node.feature] <= node.threshold else node.right
-        return node.value
-
     def to_doc(self) -> dict:
         if self.is_leaf:
             return {"value": self.value}
@@ -111,70 +105,82 @@ class TreeNode:
 
 
 def _best_split(X, y, min_samples_leaf, feature_indices):
-    """Exhaustive scan over midpoint thresholds; returns (feature, threshold) or None.
+    """Exact scan over midpoint thresholds of all candidate features at once.
 
-    Ties are broken by lower feature index, then lower threshold: features are
-    visited in ascending order, candidates in ascending threshold order, and
-    the incumbent is replaced only on strictly lower cost.
+    Returns (feature, threshold) or None. One stable column-wise sort and two
+    column-wise prefix sums give the left/right SSE of every boundary k (left
+    size) of every feature. Boundaries between equal values, or leaving a
+    side smaller than ``min_samples_leaf``, are excluded. Ties are broken by
+    lower feature index, then lower threshold: the first minimum of the cost
+    matrix in feature-major order.
     """
     n = len(y)
-    best_cost = np.inf
-    best = None
-    for j in feature_indices:
-        x = X[:, j]
-        order = np.argsort(x, kind="stable")
-        xs = x[order]
-        ys = y[order]
-        boundaries = np.nonzero(xs[1:] > xs[:-1])[0] + 1  # left sizes k
-        boundaries = boundaries[
-            (boundaries >= min_samples_leaf) & (boundaries <= n - min_samples_leaf)
-        ]
-        if boundaries.size == 0:
+    lo, hi = min_samples_leaf, n - min_samples_leaf  # allowed left sizes
+    Xc = X[:, feature_indices]
+    order = Xc.argsort(axis=0, kind="stable")
+    xs = Xc[order, np.arange(Xc.shape[1])]
+    ys = y[order]
+    cs = ys.cumsum(axis=0)
+    csq = np.multiply(ys, ys, out=ys).cumsum(axis=0)
+
+    k = np.arange(lo, hi + 1, dtype=np.float64)[:, None]
+    sum_l = cs[lo - 1 : hi]
+    sq_l = csq[lo - 1 : hi]
+    # cost = (sq_l - sum_l**2 / k) + (sq_r - sum_r**2 / (n - k)), in place.
+    sum_r = np.subtract(cs[-1], sum_l)
+    sse_r = np.subtract(csq[-1], sq_l)
+    np.square(sum_r, out=sum_r)
+    np.divide(sum_r, n - k, out=sum_r)
+    np.subtract(sse_r, sum_r, out=sse_r)
+    cost = np.square(sum_l)
+    np.divide(cost, k, out=cost)
+    np.subtract(sq_l, cost, out=cost)
+    np.add(cost, sse_r, out=cost)
+    cost[~(xs[lo : hi + 1] > xs[lo - 1 : hi])] = np.inf
+
+    flat = int(cost.T.argmin())
+    f, i = divmod(flat, cost.shape[0])
+    if not cost[i, f] < np.inf:
+        return None
+    ki = lo + i
+    return int(feature_indices[f]), float(0.5 * (xs[ki - 1, f] + xs[ki, f]))
+
+
+def _grow_tree(X, y, max_depth, min_samples_leaf, n_feature_subset, rng) -> TreeNode:
+    """Grow depth-first from an explicit stack of (node, row indices, depth).
+
+    Left children are popped before right ones, so nodes are split (and the
+    per-split feature subsets drawn from ``rng``) in preorder.
+    """
+    d = X.shape[1]
+    root = TreeNode()
+    stack = [(root, np.arange(X.shape[0]), 0)]
+    while stack:
+        node, rows, depth = stack.pop()
+        yn = y[rows]
+        if (
+            (max_depth is not None and depth >= max_depth)
+            or len(rows) < 2 * min_samples_leaf
+            or (yn == yn[0]).all()
+        ):
+            node.value = float(yn.mean())
             continue
-        cs = np.cumsum(ys)
-        csq = np.cumsum(ys * ys)
-        k = boundaries
-        sum_l = cs[k - 1]
-        sq_l = csq[k - 1]
-        sse_l = sq_l - sum_l**2 / k
-        sum_r = cs[-1] - sum_l
-        sq_r = csq[-1] - sq_l
-        sse_r = sq_r - sum_r**2 / (n - k)
-        cost = sse_l + sse_r
-        i = int(np.argmin(cost))  # first minimum → lowest threshold
-        if cost[i] < best_cost:
-            best_cost = cost[i]
-            ki = k[i]
-            best = (j, float(0.5 * (xs[ki - 1] + xs[ki])))
-    return best
 
+        if n_feature_subset is not None and n_feature_subset < d:
+            candidates = np.sort(rng.choice(d, size=n_feature_subset, replace=False))
+        else:
+            candidates = np.arange(d)
 
-def _grow_tree(X, y, depth, max_depth, min_samples_leaf, n_feature_subset, rng):
-    n, d = X.shape
-    if (
-        (max_depth is not None and depth >= max_depth)
-        or n < 2 * min_samples_leaf
-        or np.all(y == y[0])
-    ):
-        return TreeNode(value=float(np.mean(y)))
-
-    if n_feature_subset is not None and n_feature_subset < d:
-        candidates = np.sort(rng.choice(d, size=n_feature_subset, replace=False))
-    else:
-        candidates = np.arange(d)
-
-    found = _best_split(X, y, min_samples_leaf, candidates)
-    if found is None:
-        return TreeNode(value=float(np.mean(y)))
-    j, t = found
-    mask = X[:, j] <= t
-    left = _grow_tree(
-        X[mask], y[mask], depth + 1, max_depth, min_samples_leaf, n_feature_subset, rng
-    )
-    right = _grow_tree(
-        X[~mask], y[~mask], depth + 1, max_depth, min_samples_leaf, n_feature_subset, rng
-    )
-    return TreeNode(feature=int(j), threshold=t, left=left, right=right)
+        found = _best_split(X[rows], yn, min_samples_leaf, candidates)
+        if found is None:
+            node.value = float(yn.mean())
+            continue
+        node.feature, node.threshold = found
+        node.left, node.right = TreeNode(), TreeNode()
+        mask = X[rows, node.feature] <= node.threshold
+        stack.append((node.right, rows[~mask], depth + 1))
+        stack.append((node.left, rows[mask], depth + 1))
+    return root
 
 
 @dataclass
@@ -184,8 +190,20 @@ class TreeModel:
     min_samples_leaf: int
 
     def predict(self, X) -> np.ndarray:
+        """Route all rows at once: each split partitions its row indices."""
         X = _as_matrix(X)
-        return np.array([self.root.predict_row(row) for row in X])
+        out = np.empty(X.shape[0])
+        stack = [(self.root, np.arange(X.shape[0]))]
+        while stack:
+            node, rows = stack.pop()
+            if node.is_leaf:
+                out[rows] = node.value
+                continue
+            mask = X[rows, node.feature] <= node.threshold
+            for child, sub in ((node.left, rows[mask]), (node.right, rows[~mask])):
+                if sub.size:
+                    stack.append((child, sub))
+        return out
 
     def to_doc(self) -> dict:
         return {
@@ -220,7 +238,7 @@ def fit_tree(
         raise InvalidArgumentError(
             f"need at least {2 * min_samples_leaf} rows, got {X.shape[0]}"
         )
-    root = _grow_tree(X, y, 0, max_depth, min_samples_leaf, n_feature_subset, rng)
+    root = _grow_tree(X, y, max_depth, min_samples_leaf, n_feature_subset, rng)
     return TreeModel(root=root, max_depth=max_depth, min_samples_leaf=min_samples_leaf)
 
 
@@ -362,6 +380,9 @@ def fit_boosted(
 # ---------------------------------------------------------------------------
 
 
+KNN_CHUNK_ROWS = 256  # query rows per distance block in KnnModel.predict
+
+
 @dataclass
 class KnnModel:
     X_train: np.ndarray
@@ -369,17 +390,17 @@ class KnnModel:
     k: int
 
     def predict(self, X) -> np.ndarray:
+        """Score queries in blocks of ``KNN_CHUNK_ROWS`` rows, so the distance
+        matrix held at once is at most KNN_CHUNK_ROWS x n_train."""
         X = _as_matrix(X)
-        # Euclidean distances; ties go to the lower training-row index.
-        d2 = (
-            np.sum(X**2, axis=1)[:, None]
-            - 2.0 * X @ self.X_train.T
-            + np.sum(self.X_train**2, axis=1)[None, :]
-        )
+        train_sq = np.sum(self.X_train**2, axis=1)[None, :]
         out = np.empty(X.shape[0])
-        for i in range(X.shape[0]):
-            nearest = np.argsort(d2[i], kind="stable")[: self.k]
-            out[i] = np.mean(self.y_train[nearest])
+        for start in range(0, X.shape[0], KNN_CHUNK_ROWS):
+            Xq = X[start : start + KNN_CHUNK_ROWS]
+            # Euclidean distances; ties go to the lower training-row index.
+            d2 = np.sum(Xq**2, axis=1)[:, None] - 2.0 * Xq @ self.X_train.T + train_sq
+            nearest = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
+            out[start : start + len(Xq)] = np.mean(self.y_train[nearest], axis=1)
         return out
 
     def to_doc(self) -> dict:

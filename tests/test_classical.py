@@ -1,9 +1,14 @@
 """Classical regressors: exact oracles, degenerations, and serialization."""
 
+import hashlib
+import json
+import sys
+
 import numpy as np
 import pytest
 
 from qoe_forge.classical import (
+    KNN_CHUNK_ROWS,
     BoostedModel,
     ForestModel,
     KnnModel,
@@ -16,6 +21,7 @@ from qoe_forge.classical import (
     fit_tree,
 )
 from qoe_forge.errors import InvalidArgumentError
+from qoe_forge.preprocessing import SplitSpec, fit_transform, split
 
 from oracles import brute_force_best_split, brute_force_tree, brute_force_tree_predict
 
@@ -142,11 +148,65 @@ class TestTree:
         restored = TreeModel.from_doc(model.to_doc())
         np.testing.assert_array_equal(model.predict(X), restored.predict(X))
 
+    def test_predict_matches_oracle_on_duplicates_without_depth_limit(self):
+        rng = np.random.default_rng(15)
+        for _ in range(20):
+            # Few distinct feature values: many duplicate x, tied thresholds.
+            X = rng.integers(0, 4, size=(60, 3)).astype(np.float64)
+            y = rng.integers(0, 16, size=60).astype(np.float64)
+            oracle = brute_force_tree(X, y, max_depth=None, min_samples_leaf=1)
+            model = fit_tree(X, y, max_depth=None, min_samples_leaf=1)
+            Xq = rng.integers(-1, 5, size=(40, 3)).astype(np.float64)
+            for Z in (X, Xq):
+                np.testing.assert_array_equal(
+                    model.predict(Z), brute_force_tree_predict(oracle, Z)
+                )
+
+    def test_deep_chain_needs_no_recursion(self):
+        # Splits peel off the largest remaining target: a chain ~200 levels deep.
+        X = np.arange(400.0)[:, None]
+        y = 2.0 ** (np.arange(400) - 350)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            model = fit_tree(X, y, max_depth=None, min_samples_leaf=1)
+            pred = model.predict(X)
+        finally:
+            sys.setrecursionlimit(limit)
+        np.testing.assert_array_equal(pred, y)
+
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):
             fit_tree(np.zeros((3, 1)), np.zeros(3), min_samples_leaf=2)
         with pytest.raises(InvalidArgumentError):
             fit_tree(np.zeros((4, 1)), np.zeros(4), min_samples_leaf=0)
+
+
+# sha256 of json.dumps(model.to_doc(), sort_keys=True) for trees fit on the
+# augmented training split of the paper corpus. The split search, growth
+# order and random draws must keep these documents byte for byte.
+MODEL_DOC_DIGESTS = {
+    "tree": "c2aa3fb9e689ac0ddf2d918f2582865831d29c48692ad80f9a3f22206e125d8f",
+    "forest": "ae0c8ce66b758f45b2864805e103f648bace449da8a0500a92a829532ad1d6f2",
+    "boosted": "1fb06ebbe46168dbd1929395cc7629e1da6bafd629d1e7f2837a4630c633d84c",
+}
+
+
+def test_tree_model_docs_are_pinned(aug2700):
+    train, _ = split(aug2700, SplitSpec())
+    X, y, _ = fit_transform(train)
+    models = {
+        "tree": fit_tree(X, y),
+        "forest": fit_forest(X, y, n_trees=10, seed=7),
+        "boosted": fit_boosted(X, y, n_stages=20),
+    }
+    digests = {
+        name: hashlib.sha256(
+            json.dumps(model.to_doc(), sort_keys=True).encode()
+        ).hexdigest()
+        for name, model in models.items()
+    }
+    assert digests == MODEL_DOC_DIGESTS
 
 
 class TestForest:
@@ -265,6 +325,24 @@ class TestKnn:
         np.testing.assert_allclose(
             model.predict(np.array([[0.4], [4.6]])), [1.0, 9.0]
         )
+
+    def test_chunked_matches_per_row_reference_on_ties(self):
+        rng = np.random.default_rng(43)
+        # Repeated training rows on an integer grid: many exactly tied
+        # distances, which must still go to the lower training-row index.
+        X = np.repeat(rng.integers(0, 3, size=(40, 2)).astype(np.float64), 3, axis=0)
+        y = rng.normal(size=len(X))
+        model = fit_knn(X, y, k=7)
+        Xq = rng.integers(0, 3, size=(2 * KNN_CHUNK_ROWS + 5, 2)).astype(np.float64)
+        d2 = (
+            np.sum(Xq**2, axis=1)[:, None]
+            - 2.0 * Xq @ X.T
+            + np.sum(X**2, axis=1)[None, :]
+        )
+        expected = np.array(
+            [np.mean(y[np.argsort(row, kind="stable")[:7]]) for row in d2]
+        )
+        np.testing.assert_array_equal(model.predict(Xq), expected)
 
     def test_round_trip(self):
         rng = np.random.default_rng(42)
