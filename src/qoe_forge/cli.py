@@ -17,6 +17,7 @@ from .errors import QoeForgeError
 from .harness import (
     ExperimentConfig,
     derive_model_seed,
+    model_hyperparams,
     parse_config_file,
     report_to_json,
     run_compare,
@@ -86,9 +87,8 @@ def cmd_train(args) -> int:
     ds = read_csv(args.input)
     cfg = _experiment_config(args)
     X, y, fitted = fit_transform(ds)
-    params = dict(cfg.model_params.get(args.model, {}))
     seed = derive_model_seed(cfg.seed, "train", args.model)
-    model = train_model(args.model, X, y, params, seed)
+    model = train_model(args.model, X, y, model_hyperparams(cfg, args.model), seed)
     save_model(args.out, args.model, model, fitted)
     print(f"trained {args.model} on {len(ds)} rows; model saved to {args.out}")
     return 0

@@ -1,4 +1,4 @@
-"""Session/dataset types, CSV I/O, and the seeded synthetic base-dataset generator.
+"""The columnar dataset type, CSV I/O, and the seeded synthetic base-dataset generator.
 
 The original 450-session HAS dataset is not publicly available, so
 ``generate_base_dataset`` plants a documented latent MOS function instead:
@@ -12,8 +12,12 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import InitVar, dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -63,95 +67,106 @@ AUGMENTED_SCHEMA: tuple[Column, ...] = BASE_SCHEMA + (
 _INT_COLUMNS = {"session_id", "stall_count", "base_session_id"}
 _STRING_COLUMNS = {"content_type", "device", "encoding_profile", "demographic"}
 
-
-@dataclass(frozen=True)
-class StreamingSession:
-    """One HAS streaming session: objective features plus the MOS target."""
-
-    session_id: int
-    content_type: str
-    device: str
-    encoding_profile: str
-    duration_s: float
-    bitrate_mean_kbps: float
-    bitrate_std_kbps: float
-    vmaf_mean: float
-    vmaf_std: float
-    ssim_mean: float
-    qp_mean: float
-    stall_duration_s: float
-    stall_count: int
-    mos: float
-
-    def invariant_violations(self) -> list[str]:
-        out = []
-        if self.session_id < 0:
-            out.append("session_id < 0")
-        if self.duration_s <= 0:
-            out.append("duration_s <= 0")
-        if self.bitrate_mean_kbps <= 0:
-            out.append("bitrate_mean_kbps <= 0")
-        if self.bitrate_std_kbps < 0:
-            out.append("bitrate_std_kbps < 0")
-        if not 0 <= self.vmaf_mean <= 100:
-            out.append(f"vmaf_mean {self.vmaf_mean} outside [0,100]")
-        if self.vmaf_std < 0:
-            out.append("vmaf_std < 0")
-        if not 0 <= self.ssim_mean <= 1:
-            out.append(f"ssim_mean {self.ssim_mean} outside [0,1]")
-        if not 0 <= self.qp_mean <= 51:
-            out.append(f"qp_mean {self.qp_mean} outside [0,51]")
-        if self.stall_duration_s < 0:
-            out.append("stall_duration_s < 0")
-        if self.stall_count < 0:
-            out.append("stall_count < 0")
-        if self.stall_count == 0 and self.stall_duration_s != 0:
-            out.append("stall_count = 0 but stall_duration_s != 0")
-        if not 0 <= self.mos <= 100:
-            out.append(f"mos {self.mos} outside [0,100]")
-        return out
+# Rows per block when CSV text is formatted or parsed, so neither holds a
+# Python object per cell of the whole file at once.
+_BLOCK_ROWS = 1024
 
 
-@dataclass
+def _dtype(name: str):
+    """Column storage: object arrays of str, int64, or float64."""
+    if name in _STRING_COLUMNS:
+        return object
+    return np.int64 if name in _INT_COLUMNS else np.float64
+
+
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Ordered rows plus a column schema and provenance record.
+    """One read-only numpy column per schema column, plus a provenance record.
 
-    Rows are plain dicts keyed by schema column names. Instances are treated
-    as immutable after construction; derived datasets are new objects.
+    Columns are equal-length 1-D arrays: int64 for ids and ``stall_count``,
+    object arrays of ``str`` for categoricals, float64 for the rest. They are
+    copied and frozen on construction, so a dataset never changes (and its
+    memoized hash never goes stale); derived datasets are new objects.
+    ``copy=False`` hands over arrays that nothing else holds (the module's
+    own constructors pass freshly computed ones): they are frozen in place
+    instead of copied.
     """
 
     schema: tuple[Column, ...]
-    rows: list[dict]
+    columns: Mapping[str, np.ndarray]
     provenance: dict = field(default_factory=dict)
+    copy: InitVar[bool] = True
+    _hash: str | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self, copy: bool):
+        names = [c.name for c in self.schema]
+        if sorted(self.columns) != sorted(names):
+            raise SchemaMismatchError(
+                f"columns {sorted(self.columns)} do not match the schema {names}"
+            )
+        to_array = np.array if copy else np.asarray
+        frozen = {name: to_array(self.columns[name], dtype=_dtype(name)) for name in names}
+        if any(a.ndim != 1 for a in frozen.values()) or len(set(map(len, frozen.values()))) > 1:
+            raise InvalidArgumentError("columns must be 1-D arrays of one length")
+        for arr in frozen.values():
+            arr.flags.writeable = False
+        object.__setattr__(self, "columns", MappingProxyType(frozen))
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.columns[self.schema[0].name])
 
     def column(self, name: str) -> np.ndarray:
-        return np.asarray([r[name] for r in self.rows])
+        return self.columns[name]
 
     def column_names(self) -> list[str]:
         return [c.name for c in self.schema]
 
     def has_column(self, name: str) -> bool:
-        return any(c.name == name for c in self.schema)
+        return name in self.columns
 
     def subset(self, indices) -> "Dataset":
+        idx = np.asarray(indices, dtype=np.intp)
         return Dataset(
             schema=self.schema,
-            rows=[self.rows[i] for i in indices],
+            columns={name: col[idx] for name, col in self.columns.items()},
             provenance=dict(self.provenance),
+            copy=False,
         )
 
-    def sessions(self) -> list[StreamingSession]:
-        fields = [c.name for c in BASE_SCHEMA]
-        return [StreamingSession(**{f: r[f] for f in fields}) for r in self.rows]
+    def violations(self) -> list[tuple[int, str]]:
+        """Every broken session invariant as (1-based row, message), row-major."""
+        c = self.columns
+
+        def outside(name, lo, hi):
+            values = c[name]
+            return (~((lo <= values) & (values <= hi)),
+                    lambda i: f"{name} {values[i].item()} outside [{lo},{hi}]")
+
+        checks = [
+            (c["session_id"] < 0, "session_id < 0"),
+            (c["duration_s"] <= 0, "duration_s <= 0"),
+            (c["bitrate_mean_kbps"] <= 0, "bitrate_mean_kbps <= 0"),
+            (c["bitrate_std_kbps"] < 0, "bitrate_std_kbps < 0"),
+            outside("vmaf_mean", 0, 100),
+            (c["vmaf_std"] < 0, "vmaf_std < 0"),
+            outside("ssim_mean", 0, 1),
+            outside("qp_mean", 0, 51),
+            (c["stall_duration_s"] < 0, "stall_duration_s < 0"),
+            (c["stall_count"] < 0, "stall_count < 0"),
+            ((c["stall_count"] == 0) & (c["stall_duration_s"] != 0),
+             "stall_count = 0 but stall_duration_s != 0"),
+            outside("mos", 0, 100),
+        ]
+        bad = np.logical_or.reduce([mask for mask, _ in checks])
+        return [
+            (i + 1, msg if isinstance(msg, str) else msg(i))
+            for i in np.flatnonzero(bad).tolist()
+            for mask, msg in checks
+            if mask[i]
+        ]
 
     def validate_rows(self) -> None:
-        failures = []
-        for i, sess in enumerate(self.sessions(), start=1):
-            for msg in sess.invariant_violations():
-                failures.append((i, msg))
+        failures = self.violations()
         if failures:
             raise RowValidationError(failures)
 
@@ -191,58 +206,66 @@ def generate_base_dataset(n: int, seed: int) -> Dataset:
     encoding = rng.choice(len(ENCODING_PROFILES), n)
     mos_noise = rng.normal(0.0, 2.0, n)
 
-    rows = []
-    for i in range(n):
-        row = {
-            "session_id": i,
-            "content_type": CONTENT_TYPES[content[i]],
-            "device": DEVICES[device[i]],
-            "encoding_profile": ENCODING_PROFILES[encoding[i]],
-            "duration_s": float(duration[i]),
-            "bitrate_mean_kbps": float(bitrate_mean[i]),
-            "bitrate_std_kbps": float(bitrate_std[i]),
-            "vmaf_mean": float(vmaf_mean[i]),
-            "vmaf_std": float(vmaf_std[i]),
-            "ssim_mean": float(ssim_mean[i]),
-            "qp_mean": float(qp_mean[i]),
-            "stall_duration_s": float(stall_duration[i]),
-            "stall_count": int(stall_count[i]),
-            "mos": 0.0,
-        }
-        sess = StreamingSession(**row)
-        f = compute_impact_factors(sess)
-        latent = (
-            100.0 * f.quality_boost
-            - 40.0 * f.rebuff_impact
-            - 15.0 * f.quality_variance
-            + mos_noise[i]
-        )
-        row["mos"] = float(min(max(latent, 0.0), 100.0))
-        rows.append(row)
-
+    columns = {
+        "session_id": np.arange(n),
+        "content_type": np.array(CONTENT_TYPES, dtype=object)[content],
+        "device": np.array(DEVICES, dtype=object)[device],
+        "encoding_profile": np.array(ENCODING_PROFILES, dtype=object)[encoding],
+        "duration_s": duration,
+        "bitrate_mean_kbps": bitrate_mean,
+        "bitrate_std_kbps": bitrate_std,
+        "vmaf_mean": vmaf_mean,
+        "vmaf_std": vmaf_std,
+        "ssim_mean": ssim_mean,
+        "qp_mean": qp_mean,
+        "stall_duration_s": stall_duration,
+        "stall_count": stall_count,
+    }
+    f = compute_impact_factors(columns)
+    latent = (
+        100.0 * f.quality_boost
+        - 40.0 * f.rebuff_impact
+        - 15.0 * f.quality_variance
+        + mos_noise
+    )
+    columns["mos"] = np.minimum(np.maximum(latent, 0.0), 100.0)
     return Dataset(
         schema=BASE_SCHEMA,
-        rows=rows,
+        columns=columns,
         provenance={"source": "synthetic", "seed": int(seed)},
+        copy=False,
     )
 
 
-def _format_cell(name: str, value) -> str:
-    if name in _STRING_COLUMNS:
-        return str(value)
-    if name in _INT_COLUMNS:
-        return str(int(value))
-    return repr(float(value))
-
-
-def _csv_text(dataset: Dataset) -> str:
+def _quote(text: str) -> str:
+    """``text`` as the csv module writes it as one cell of a row."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]  # drop the empty second cell's "," and "\n"
+
+
+def _csv_blocks(dataset: Dataset):
+    """The canonical CSV text, header first, in blocks of ``_BLOCK_ROWS`` rows.
+
+    Ints are written with ``str``, floats with ``repr`` (round-trip
+    precision) and categoricals quoted by the csv module's minimal rules.
+    """
     names = dataset.column_names()
-    writer.writerow(names)
-    for row in dataset.rows:
-        writer.writerow([_format_cell(n, row[n]) for n in names])
-    return buf.getvalue()
+    yield ",".join(map(_quote, names)) + "\n"
+    quoted = {
+        name: {v: _quote(str(v)) for v in set(dataset.column(name).tolist())}
+        for name in names
+        if name in _STRING_COLUMNS
+    }
+    for start in range(0, len(dataset), _BLOCK_ROWS):
+        cells = []
+        for name in names:
+            values = dataset.column(name)[start:start + _BLOCK_ROWS].tolist()
+            if name in quoted:
+                cells.append(map(quoted[name].__getitem__, values))
+            else:
+                cells.append(map(str if name in _INT_COLUMNS else repr, values))
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
 def write_csv(dataset: Dataset, path) -> None:
@@ -250,12 +273,73 @@ def write_csv(dataset: Dataset, path) -> None:
     if len(dataset) == 0:
         raise InvalidArgumentError("cannot write an empty dataset")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_csv_text(dataset))
+        fh.writelines(_csv_blocks(dataset))
 
 
 def dataset_hash(dataset: Dataset) -> str:
-    """SHA-256 of the canonical CSV emission; stable content identity."""
-    return hashlib.sha256(_csv_text(dataset).encode("utf-8")).hexdigest()
+    """SHA-256 of the canonical CSV emission; stable content identity.
+
+    Memoized on the dataset: its columns are read-only, so it cannot go stale.
+    """
+    if dataset._hash is None:
+        digest = hashlib.sha256()
+        for block in _csv_blocks(dataset):
+            digest.update(block.encode("utf-8"))
+        object.__setattr__(dataset, "_hash", digest.hexdigest())
+    return dataset._hash
+
+
+def _cell_ok(name: str, cell: str) -> bool:
+    try:
+        value = int(cell) if name in _INT_COLUMNS else float(cell)
+    except ValueError:
+        return False
+    if name in _INT_COLUMNS:
+        return -(2**63) <= value < 2**63
+    return math.isfinite(value)
+
+
+def _parse_column(name: str, cells: tuple[str, ...]):
+    """(array, None), or (None, index of the first unparseable cell).
+
+    Ints must fit int64 and floats must be finite.
+    """
+    if name in _STRING_COLUMNS:  # equal labels then share one str object
+        return np.array(list(map(sys.intern, cells)), dtype=object), None
+    try:
+        arr = np.array(
+            list(map(int if name in _INT_COLUMNS else float, cells)), dtype=_dtype(name)
+        )
+        if name in _INT_COLUMNS or np.isfinite(arr).all():
+            return arr, None
+    except (ValueError, OverflowError):
+        pass
+    return None, next(i for i, cell in enumerate(cells) if not _cell_ok(name, cell))
+
+
+def _parse_block(records: list[list[str]], header: list[str], first_row: int) -> dict:
+    """Columns of one block of records; raises the row-major first error.
+
+    A record with the wrong cell count fails before any of its cells, and
+    its cells are never parsed, as in a row-at-a-time reader.
+    """
+    width = len(header)
+    lengths = list(map(len, records))
+    valid = next((i for i, k in enumerate(lengths) if k != width), len(records))
+    cells = list(zip(*records[:valid])) or [()] * width
+    columns, errors = {}, []
+    for j, name in enumerate(header):
+        columns[name], bad = _parse_column(name, cells[j])
+        if bad is not None:
+            errors.append((bad, j))
+    if errors:
+        i, j = min(errors)
+        raise CsvParseError(first_row + i, header[j], cells[j][i])
+    if valid < len(records):
+        raise SchemaMismatchError(
+            f"row {first_row + valid}: expected {width} cells, got {lengths[valid]}"
+        )
+    return columns
 
 
 def read_csv(path) -> Dataset:
@@ -276,31 +360,18 @@ def read_csv(path) -> Dataset:
             raise SchemaMismatchError(
                 f"header {header!r} matches neither the base nor the augmented schema"
             )
-        rows = []
-        for i, rec in enumerate(reader, start=1):
-            if len(rec) != len(header):
-                raise SchemaMismatchError(
-                    f"row {i}: expected {len(header)} cells, got {len(rec)}"
-                )
-            row = {}
-            for name, cell in zip(header, rec):
-                if name in _STRING_COLUMNS:
-                    row[name] = cell
-                    continue
-                try:
-                    row[name] = int(cell) if name in _INT_COLUMNS else float(cell)
-                except ValueError:
-                    raise CsvParseError(i, name, cell) from None
-                if not math.isfinite(float(row[name])):
-                    raise CsvParseError(i, name, cell)
-            rows.append(row)
+        parts = {name: [np.empty(0, dtype=_dtype(name))] for name in header}
+        first_row = 1
+        while block := list(itertools.islice(reader, _BLOCK_ROWS)):
+            for name, arr in _parse_block(block, header, first_row).items():
+                parts[name].append(arr)
+            first_row += len(block)
 
-    ds = Dataset(schema=schema, rows=rows, provenance={"source": "ingested"})
+    ds = Dataset(
+        schema=schema,
+        columns={name: np.concatenate(p) for name, p in parts.items()},
+        provenance={"source": "ingested"},
+        copy=False,
+    )
     ds.validate_rows()
     return ds
-
-
-def with_provenance(dataset: Dataset, **updates) -> Dataset:
-    prov = dict(dataset.provenance)
-    prov.update(updates)
-    return Dataset(schema=dataset.schema, rows=dataset.rows, provenance=prov)

@@ -136,7 +136,7 @@ def load_base_dataset(cfg: ExperimentConfig) -> Dataset:
     return generate_base_dataset(cfg.dataset_n, cfg.dataset_seed)
 
 
-def _model_hyperparams(cfg: ExperimentConfig, name: str) -> dict:
+def model_hyperparams(cfg: ExperimentConfig, name: str) -> dict:
     params = dict(cfg.model_params.get(name, {}))
     if "hidden" in params:   # comma-separated string in config files
         hidden = params["hidden"]
@@ -166,7 +166,7 @@ def evaluate_side(cfg: ExperimentConfig, dataset: Dataset, side: str):
         seed = derive_model_seed(cfg.seed, side, name)
         started = time.perf_counter()
         try:
-            model = train_model(name, X_train, y_train, _model_hyperparams(cfg, name), seed)
+            model = train_model(name, X_train, y_train, model_hyperparams(cfg, name), seed)
             y_pred = model.predict(X_test)
             models[name] = {"metrics": metric_block(y_test, y_pred).to_doc()}
             predictions[name] = (y_test, y_pred)

@@ -19,28 +19,24 @@ class ColumnEncoder:
     mapping: dict[str, int] = field(default_factory=dict)
 
     def fit(self, labels) -> "ColumnEncoder":
-        for lab in labels:
-            if lab not in self.mapping:
-                self.mapping[lab] = len(self.mapping)
+        for lab in dict.fromkeys(np.asarray(labels, dtype=object).tolist()):
+            self.mapping.setdefault(lab, len(self.mapping))
         return self
 
     def encode(self, labels) -> np.ndarray:
-        # Unseen labels get the reserved overflow code (max + 1).
+        # Unseen labels get the reserved overflow code (max + 1). A dict lookup
+        # per label beats np.unique here: that sorts str objects one Python
+        # comparison at a time.
+        labels = np.asarray(labels, dtype=object).tolist()
         overflow = len(self.mapping)
-        codes = np.empty(len(labels), dtype=np.float64)
-        unseen = set()
-        for i, lab in enumerate(labels):
-            code = self.mapping.get(lab)
-            if code is None:
-                unseen.add(lab)
-                code = overflow
-            codes[i] = code
+        unseen = set(labels).difference(self.mapping)
         if unseen:
             warnings.warn(
                 f"column {self.column!r}: unseen labels {sorted(unseen)} "
                 f"mapped to overflow code {overflow}"
             )
-        return codes
+        lookup = self.mapping.get
+        return np.array([lookup(lab, overflow) for lab in labels], dtype=np.float64)
 
 
 @dataclass
@@ -145,10 +141,10 @@ def fit_transform(
             continue
         values = train.column(col.name)
         if col.kind == "categorical":
-            enc = ColumnEncoder(col.name).fit(values.tolist())
+            enc = ColumnEncoder(col.name).fit(values)
             encoders[col.name] = enc
             feature_columns.append(col.name)
-            matrix_cols.append(enc.encode(values.tolist()))
+            matrix_cols.append(enc.encode(values))
         else:
             vals = values.astype(np.float64)
             if scaler.fit(col.name, vals):
@@ -173,7 +169,7 @@ def transform(
     for name in fitted.feature_columns:
         values = dataset.column(name)
         if name in fitted.encoders:
-            matrix_cols.append(fitted.encoders[name].encode(values.tolist()))
+            matrix_cols.append(fitted.encoders[name].encode(values))
         else:
             matrix_cols.append(fitted.scaler.transform(name, values.astype(np.float64)))
     X = np.column_stack(matrix_cols)
@@ -200,14 +196,15 @@ def split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
             "base_session_id" if dataset.has_column("base_session_id") else "session_id"
         )
         groups = dataset.column(group_col)
-        unique = sorted(set(groups.tolist()))
+        # Not np.unique: its first call imports numpy.ma, about 20 ms per process.
+        unique = np.array(sorted(set(groups.tolist())), dtype=groups.dtype)
         n_test_groups = round(len(unique) * spec.test_fraction)
         if n_test_groups < 1 or n_test_groups >= len(unique):
             raise InvalidArgumentError("too few groups for the requested fraction")
         perm = rng.permutation(len(unique))
-        test_groups = {unique[i] for i in perm[:n_test_groups]}
-        test_idx = [i for i, g in enumerate(groups.tolist()) if g in test_groups]
-        train_idx = [i for i, g in enumerate(groups.tolist()) if g not in test_groups]
+        in_test = np.isin(groups, unique[perm[:n_test_groups]])
+        test_idx = np.flatnonzero(in_test)
+        train_idx = np.flatnonzero(~in_test)
 
     return dataset.subset(train_idx), dataset.subset(test_idx)
 
@@ -215,4 +212,4 @@ def split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
 def held_out_group_ids(test: Dataset) -> list[int]:
     """Group ids in the test split, for the audit trail in reports."""
     col = "base_session_id" if test.has_column("base_session_id") else "session_id"
-    return sorted(set(int(v) for v in test.column(col).tolist()))
+    return sorted(set(test.column(col).tolist()))

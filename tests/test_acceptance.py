@@ -30,7 +30,7 @@ from qoe_forge.demographics import (
 from qoe_forge.harness import ExperimentConfig, run_compare, report_to_json
 from qoe_forge.metrics import correlation_by_demographic, mae, plcc, r2, rmse, srcc
 
-from conftest import make_session, random_session
+from conftest import make_session, random_sessions, session_rows
 from oracles import (
     bisection_simplex_projection,
     brute_force_best_split,
@@ -56,19 +56,19 @@ def test_criterion_02_impact_factor_exactness():
     start = time.perf_counter()
     rng = np.random.default_rng(2024)
     log_ratio = math.log2(20_000 / 300)
-    for _ in range(1000):
-        s = random_session(rng)
-        f = compute_impact_factors(s)
-        assert abs(f.rebuff_impact - min(s.stall_duration_s / 2.0, 1.0)) <= 1e-12
-        assert abs(f.quality_boost - 0.5 * (s.vmaf_mean / 100.0 + s.ssim_mean)) <= 1e-12
+    sessions = random_sessions(rng, 1000)
+    f = compute_impact_factors(sessions.columns)
+    for i, s in enumerate(session_rows(sessions)):
+        assert abs(f.rebuff_impact[i] - min(s.stall_duration_s / 2.0, 1.0)) <= 1e-12
+        assert abs(f.quality_boost[i] - 0.5 * (s.vmaf_mean / 100.0 + s.ssim_mean)) <= 1e-12
         qv = 0.5 * (s.vmaf_std / s.vmaf_mean + s.bitrate_std_kbps / s.bitrate_mean_kbps)
-        assert abs(f.quality_variance - qv) <= 1e-12
-        assert abs(f.smoothness - (1.0 - min(qv, 1.0))) <= 1e-12
+        assert abs(f.quality_variance[i] - qv) <= 1e-12
+        assert abs(f.smoothness[i] - (1.0 - min(qv, 1.0))) <= 1e-12
         bn = min(max(math.log2(s.bitrate_mean_kbps / 300) / log_ratio, 0.0), 1.0)
-        assert abs(f.bitrate_norm - bn) <= 1e-12
+        assert abs(f.bitrate_norm[i] - bn) <= 1e-12
     # Saturation: exactly 2 s of stalling already gives full rebuffering impact.
-    sat = compute_impact_factors(make_session(stall_duration_s=2.0, stall_count=1))
-    assert sat.rebuff_impact == 1.0
+    sat = compute_impact_factors(make_session(stall_duration_s=2.0, stall_count=1).columns)
+    assert sat.rebuff_impact.tolist() == [1.0]
     assert time.perf_counter() - start < 1.0
 
 

@@ -6,8 +6,10 @@ import os
 import numpy as np
 import pytest
 
+from qoe_forge import data_model
 from qoe_forge.cli import main
 from qoe_forge.data_model import read_csv
+from qoe_forge.model_io import load_model
 from qoe_forge.errors import InvalidArgumentError
 from qoe_forge.harness import (
     ExperimentConfig,
@@ -140,6 +142,17 @@ class TestRunCompare:
         for side in timings.values():
             assert all(v >= 0 for v in side.values())
 
+    def test_each_dataset_hashed_once(self, monkeypatch):
+        # The base side is hashed for the augmented provenance and for its
+        # own report block; the memo makes that one computation.
+        hashed = []
+        blocks = data_model._csv_blocks
+        monkeypatch.setattr(data_model, "_csv_blocks",
+                            lambda ds: hashed.append(len(ds)) or blocks(ds))
+        run_compare(ExperimentConfig(dataset_n=30, dataset_seed=5,
+                                     roster=("linear_regression",), seed=1))
+        assert sorted(hashed) == [30, 180]
+
     def test_compare_csv(self, result, tmp_path):
         report, _ = result
         path = tmp_path / "compare.csv"
@@ -205,6 +218,28 @@ class TestCli:
         assert (out / "timings.json").exists()
         report = json.loads((out / "report.json").read_text())
         assert set(report["base"]["models"]) == set(FAST_ROSTER.split(","))
+
+    def test_augment_refuses_augmented_csv(self, tmp_path, capsys):
+        base, aug, again = tmp_path / "b.csv", tmp_path / "a.csv", tmp_path / "aa.csv"
+        main(["generate", "--n", "20", "--seed", "5", "--out", str(base)])
+        main(["augment", "--in", str(base), "--seed", "1", "--out", str(aug)])
+        capsys.readouterr()
+        assert main(["augment", "--in", str(aug), "--seed", "1", "--out", str(again)]) == 1
+        assert "base schema" in capsys.readouterr().err
+        assert not again.exists()
+
+    def test_train_config_mlp_hidden(self, tmp_path, capsys):
+        # A comma-separated hidden list in a config file reaches the MLP as ints.
+        base, model = tmp_path / "b.csv", tmp_path / "mlp.json"
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text("models.mlp.hidden = 16,8\nmodels.mlp.epochs = 2\n")
+        main(["generate", "--n", "40", "--seed", "5", "--out", str(base)])
+        assert main(["train", "--in", str(base), "--model", "mlp", "--seed", "3",
+                     "--config", str(cfg), "--out", str(model)]) == 0
+        capsys.readouterr()
+        kind, net, _ = load_model(model)
+        assert kind == "mlp"
+        assert [layer.W.data.shape for layer in net.hidden_layers] == [(12, 16), (16, 8)]
 
     def test_correlate(self, tmp_path):
         base, aug = tmp_path / "b.csv", tmp_path / "a.csv"

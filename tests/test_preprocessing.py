@@ -16,6 +16,8 @@ from qoe_forge.preprocessing import (
     transform,
 )
 
+from conftest import columns_equal
+
 
 class TestColumnEncoder:
     def test_first_appearance_order(self):
@@ -30,6 +32,25 @@ class TestColumnEncoder:
         with pytest.warns(UserWarning, match="unseen"):
             codes = enc.encode(["tablet", "tv"])
         np.testing.assert_array_equal(codes, np.array([2.0, 0.0]))
+
+    def test_matches_row_loop(self, aug2700):
+        labels = aug2700.column("demographic")[::-7]
+        enc = ColumnEncoder("demographic").fit(labels)
+        mapping = {}
+        for lab in labels.tolist():
+            mapping.setdefault(lab, len(mapping))
+        assert list(enc.mapping.items()) == list(mapping.items())
+        assert all(type(k) is str for k in enc.mapping)
+        queries = aug2700.column("demographic")
+        assert enc.encode(queries).tolist() == [float(mapping[q]) for q in queries.tolist()]
+
+    def test_refit_appends_new_labels(self):
+        enc = ColumnEncoder("device").fit(["tv", "phone"]).fit(["phone", "pc", "tv"])
+        assert enc.mapping == {"tv": 0, "phone": 1, "pc": 2}
+
+    def test_empty_labels(self):
+        enc = ColumnEncoder("device").fit(["tv"])
+        assert enc.encode(np.array([], dtype=object)).shape == (0,)
 
 
 class TestStandardScaler:
@@ -92,7 +113,7 @@ class TestFitTransform:
         _, _, fitted = fit_transform(base450)
         stripped = Dataset(
             schema=tuple(c for c in base450.schema if c.name != "vmaf_mean"),
-            rows=[{k: v for k, v in r.items() if k != "vmaf_mean"} for r in base450.rows],
+            columns={k: v for k, v in base450.columns.items() if k != "vmaf_mean"},
         )
         with pytest.raises(SchemaMismatchError):
             transform(stripped, fitted)
@@ -132,8 +153,20 @@ class TestSplit:
         a1, b1 = split(base450, SplitSpec(seed=3))
         a2, b2 = split(base450, SplitSpec(seed=3))
         a3, b3 = split(base450, SplitSpec(seed=4))
-        assert b1.rows == b2.rows
-        assert b1.rows != b3.rows
+        assert columns_equal(b1, b2)
+        assert not columns_equal(b1, b3)
+
+    def test_grouped_matches_row_loop(self, aug2700):
+        # The held-out groups are the first round(0.2 * groups) of a
+        # permutation of the sorted group ids; rows keep their order.
+        train, test = split(aug2700, SplitSpec(seed=5))
+        groups = aug2700.column("base_session_id").tolist()
+        unique = sorted(set(groups))
+        perm = np.random.default_rng(5).permutation(len(unique))
+        held = {unique[i] for i in perm[:90]}
+        assert columns_equal(test, aug2700.subset([i for i, g in enumerate(groups) if g in held]))
+        assert columns_equal(
+            train, aug2700.subset([i for i, g in enumerate(groups) if g not in held]))
 
     def test_held_out_group_ids(self, aug2700):
         _, test = split(aug2700, SplitSpec(seed=3))
