@@ -234,6 +234,10 @@ def fit_tree(
         raise InvalidArgumentError("X and y row counts differ")
     if min_samples_leaf < 1:
         raise InvalidArgumentError("min_samples_leaf must be >= 1")
+    if n_feature_subset is not None and n_feature_subset < 1:
+        raise InvalidArgumentError("n_feature_subset must be >= 1")
+    if n_feature_subset is not None and n_feature_subset < X.shape[1] and rng is None:
+        raise InvalidArgumentError("n_feature_subset below the feature count needs an rng")
     if X.shape[0] < 2 * min_samples_leaf:
         raise InvalidArgumentError(
             f"need at least {2 * min_samples_leaf} rows, got {X.shape[0]}"
@@ -284,6 +288,8 @@ def fit_forest(
     X, y = _as_matrix(X), _as_vector(y)
     if n_trees < 1:
         raise InvalidArgumentError("n_trees must be >= 1")
+    if seed < 0:
+        raise InvalidArgumentError("seed must be >= 0")
     n, d = X.shape
     if n_feature_subset is None:
         n_feature_subset = max(1, d // 3)

@@ -17,7 +17,6 @@ from .errors import QoeForgeError
 from .harness import (
     ExperimentConfig,
     derive_model_seed,
-    model_hyperparams,
     parse_config_file,
     report_to_json,
     run_compare,
@@ -84,11 +83,11 @@ def cmd_split(args) -> int:
 
 
 def cmd_train(args) -> int:
-    ds = read_csv(args.input)
     cfg = _experiment_config(args)
+    ds = read_csv(args.input)
     X, y, fitted = fit_transform(ds)
     seed = derive_model_seed(cfg.seed, "train", args.model)
-    model = train_model(args.model, X, y, model_hyperparams(cfg, args.model), seed)
+    model = train_model(args.model, X, y, cfg.model_params.get(args.model), seed)
     save_model(args.out, args.model, model, fitted)
     print(f"trained {args.model} on {len(ds)} rows; model saved to {args.out}")
     return 0
@@ -148,15 +147,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def seed_option(p):
         p.add_argument("--seed", type=int, default=None,
                        help=f"seed (falls back to ${ENV_SEED}, then 0)")
+
+    def experiment_options(p):
+        seed_option(p)
         p.add_argument("--config", default=None, help="experiment config file")
 
     p = sub.add_parser("generate", help="emit a synthetic base dataset CSV")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", required=True)
-    common(p)
+    seed_option(p)
     p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("augment", help="6x demographic augmentation of a base CSV")
@@ -164,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--noise-sigma", type=float, default=2.0)
     p.add_argument("--adjustment-scale", type=float, default=12.0)
-    common(p)
+    seed_option(p)
     p.set_defaults(fn=cmd_augment)
 
     p = sub.add_parser("split", help="train/test split of a dataset CSV")
@@ -174,39 +176,37 @@ def build_parser() -> argparse.ArgumentParser:
                    default="grouped_by_session")
     p.add_argument("--out-train", required=True)
     p.add_argument("--out-test", required=True)
-    common(p)
+    seed_option(p)
     p.set_defaults(fn=cmd_split)
 
     p = sub.add_parser("train", help="train one model on a CSV, save model JSON")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--model", choices=ALL_KINDS, required=True)
     p.add_argument("--out", required=True)
-    common(p)
+    experiment_options(p)
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("evaluate", help="score a saved model on a CSV")
     p.add_argument("--model", required=True, help="model JSON path")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", default=None)
-    common(p)
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("compare", help="base-vs-augmented benchmark of the roster")
     p.add_argument("--out", required=True, help="output directory")
-    common(p)
+    experiment_options(p)
     p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("correlate", help="per-demographic feature/MOS correlation")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--feature", required=True)
     p.add_argument("--out", required=True)
-    common(p)
     p.set_defaults(fn=cmd_correlate)
 
     p = sub.add_parser("scatter", help="export (true, predicted) MOS pairs")
     p.add_argument("--model", choices=ALL_KINDS, required=True)
     p.add_argument("--out", required=True)
-    common(p)
+    experiment_options(p)
     p.set_defaults(fn=cmd_scatter)
 
     return parser

@@ -41,8 +41,12 @@ class MlpConfig:
     def __post_init__(self):
         if not 0.0 <= self.dropout < 1.0:
             raise InvalidArgumentError("dropout must be in [0,1)")
-        if min(self.hidden) <= 0 or self.batch_size <= 0 or self.epochs <= 0:
-            raise InvalidArgumentError("hidden sizes, batch size, epochs must be positive")
+        if not self.hidden:
+            raise InvalidArgumentError("hidden needs at least one layer size")
+        if min(*self.hidden, self.attention_hidden, self.batch_size, self.epochs) <= 0:
+            raise InvalidArgumentError(
+                "hidden sizes, attention_hidden, batch size, epochs must be positive"
+            )
 
 
 @dataclass(frozen=True)
@@ -63,18 +67,25 @@ class TabNetConfig:
             raise InvalidArgumentError("n_steps must be >= 1")
         if self.relaxation < 1.0:
             raise InvalidArgumentError("relaxation must be >= 1")
-        if self.virtual_batch > self.batch_size:
-            raise InvalidArgumentError("virtual batch must be <= batch size")
+        if not 1 <= self.virtual_batch <= self.batch_size:
+            raise InvalidArgumentError("virtual batch must be in [1, batch size]")
+        if self.step_dim < 1:
+            raise InvalidArgumentError("step_dim must be >= 1")
+        if not 0.0 <= self.validation_fraction < 1.0:
+            raise InvalidArgumentError("validation_fraction must be in [0,1)")
 
 
-class _TargetScaler:
+@dataclass(frozen=True)
+class TargetScaler:
     """Standardizes y for training; inverse-transforms predictions."""
 
-    def __init__(self, y: np.ndarray | None = None):
-        if y is not None:
-            self.mean = float(np.mean(y))
-            sd = float(np.std(y))
-            self.std = sd if sd > 0 else 1.0
+    mean: float = 0.0
+    std: float = 1.0
+
+    @classmethod
+    def fit(cls, y: np.ndarray) -> "TargetScaler":
+        sd = float(np.std(y))
+        return cls(float(np.mean(y)), sd if sd > 0 else 1.0)
 
     def forward(self, y):
         return (y - self.mean) / self.std
@@ -96,7 +107,7 @@ class MlpNet:
             Linear(sizes[i], sizes[i + 1], rng) for i in range(len(sizes) - 1)
         ]
         self.head = Linear(sizes[-1], 1, rng)
-        self.target_scaler = _TargetScaler.__new__(_TargetScaler)
+        self.target_scaler = TargetScaler()  # set by training or loading
 
     def parameters(self) -> list[Tensor]:
         out = []
@@ -200,7 +211,7 @@ class TabNetLite:
             self.transform2.append((Linear(cfg.step_dim, cfg.step_dim, rng),
                                     GhostBatchNorm(cfg.step_dim, vb)))
         self.head = Linear(cfg.step_dim, 1, rng)
-        self.target_scaler = _TargetScaler.__new__(_TargetScaler)
+        self.target_scaler = TargetScaler()  # set by training or loading
 
     def parameters(self) -> list[Tensor]:
         out = []
@@ -260,8 +271,7 @@ class TabNetLite:
             lin1, bn1 = self.transform1[t]
             lin2, bn2 = self.transform2[t]
             h = relu(bn1(lin1(mul(x, mask)), training))
-            h = relu(bn2(lin2(h), training))
-            contrib = relu(h)
+            contrib = relu(bn2(lin2(h), training))
             contribs.append(contrib)
             total = contrib if total is None else add(total, contrib)
         return total, masks, contribs
@@ -325,7 +335,7 @@ def _train_fixed_epochs(net_cls, X, y, cfg: MlpConfig, seed: int):
     y = np.asarray(y, dtype=np.float64)
     rng = np.random.default_rng(seed)
     net = net_cls(X.shape[1], cfg, rng)
-    net.target_scaler = _TargetScaler(y)
+    net.target_scaler = TargetScaler.fit(y)
     yt = net.target_scaler.forward(y)[:, None]
     opt = Adam(net.parameters(), lr=cfg.learning_rate)
     net.loss_curve = []
@@ -349,7 +359,7 @@ def train_tabnet_lite(X, y, cfg: TabNetConfig, seed: int) -> TabNetLite:
     y = np.asarray(y, dtype=np.float64)
     rng = np.random.default_rng(seed)
     net = TabNetLite(X.shape[1], cfg, rng)
-    net.target_scaler = _TargetScaler(y)
+    net.target_scaler = TargetScaler.fit(y)
     yt = net.target_scaler.forward(y)[:, None]
 
     n = len(y)

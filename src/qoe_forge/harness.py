@@ -22,7 +22,8 @@ from .demographics import (
 )
 from .errors import InvalidArgumentError, QoeForgeError
 from .metrics import correlation_by_demographic, metric_block
-from .model_io import ALL_KINDS, train_model
+from .model_io import ALL_KINDS, model_params, train_model
+from .params import check_params, convert, field_types
 from .preprocessing import SplitSpec, fit_transform, split, held_out_group_ids, transform
 
 REPORT_SCHEMA_VERSION = 1
@@ -58,6 +59,21 @@ def _parse_value(text: str):
     return text
 
 
+# Flat config keys that set one ExperimentConfig field.
+_FIELD_KEYS = {
+    "dataset.path": "dataset_path",
+    "dataset.n": "dataset_n",
+    "dataset.seed": "dataset_seed",
+    "run.seed": "seed",
+    "run.include_demographic_feature": "include_demographic_feature",
+}
+_PROFILE_WEIGHTS = {
+    name: annotation
+    for name, annotation in field_types(DemographicProfile).items()
+    if name != "id"
+}
+
+
 @dataclass
 class ExperimentConfig:
     dataset_path: str | None = None
@@ -70,37 +86,22 @@ class ExperimentConfig:
     seed: int = 42
     include_demographic_feature: bool = True
     profiles: tuple[DemographicProfile, ...] = BUILTIN_PROFILES
+    flat_echo: dict = field(default_factory=dict)  # the flat keys, echoed in reports
 
     @classmethod
     def from_flat(cls, flat: dict) -> "ExperimentConfig":
+        """Build a config from flat keys; every key and value is checked, so a
+        bad one fails here, before anything runs."""
         cfg = cls()
-        aug = {"seed": 1}
-        spl = {}
-        profiles = {p.id: p for p in BUILTIN_PROFILES}
+        own_types = field_types(cls)
+        sections = {"augment": {"seed": 1}, "split": {}}
+        nested: dict[str, dict] = {"models": {}, "profiles": {}}  # name -> params
         for key, value in flat.items():
-            parts = key.split(".")
-            if key == "dataset.path":
-                cfg.dataset_path = str(value)
-            elif key == "dataset.n":
-                cfg.dataset_n = int(value)
-            elif key == "dataset.seed":
-                cfg.dataset_seed = int(value)
-            elif key == "augment.noise_sigma":
-                aug["noise_sigma"] = float(value)
-            elif key == "augment.adjustment_scale":
-                aug["adjustment_scale"] = float(value)
-            elif key == "augment.seed":
-                aug["seed"] = int(value)
-            elif key == "split.test_fraction":
-                spl["test_fraction"] = float(value)
-            elif key == "split.mode":
-                spl["mode"] = str(value)
-            elif key == "split.seed":
-                spl["seed"] = int(value)
-            elif key == "run.seed":
-                cfg.seed = int(value)
-            elif key == "run.include_demographic_feature":
-                cfg.include_demographic_feature = bool(value)
+            section, _, rest = key.partition(".")
+            name, _, param = rest.partition(".")
+            if key in _FIELD_KEYS:
+                attr = _FIELD_KEYS[key]
+                setattr(cfg, attr, convert(key, own_types[attr], value))
             elif key == "run.roster":
                 roster = tuple(m.strip() for m in str(value).split(",") if m.strip())
                 unknown = [m for m in roster if m not in ALL_KINDS]
@@ -109,17 +110,27 @@ class ExperimentConfig:
                 if not roster:
                     raise InvalidArgumentError("roster is empty")
                 cfg.roster = roster
-            elif parts[0] == "models" and len(parts) == 3:
-                cfg.model_params.setdefault(parts[1], {})[parts[2]] = value
-            elif parts[0] == "profiles" and len(parts) == 3:
-                pid, weight = parts[1], parts[2]
-                if pid not in profiles:
-                    raise InvalidArgumentError(f"unknown profile {pid!r}")
-                profiles[pid] = replace(profiles[pid], **{weight: float(value)})
+            elif section in sections and name and not param:
+                sections[section][name] = value
+            elif section in nested and param and "." not in param:
+                nested[section].setdefault(name, {})[param] = value
             else:
                 raise InvalidArgumentError(f"unknown config key {key!r}")
-        cfg.augment = AugmentationConfig(**aug)
-        cfg.split = SplitSpec(**spl)
+        aug, spl = sections["augment"], sections["split"]
+        cfg.augment = AugmentationConfig(
+            **check_params("augment", field_types(AugmentationConfig), aug)
+        )
+        cfg.split = SplitSpec(**check_params("split", field_types(SplitSpec), spl))
+        cfg.model_params = {
+            kind: model_params(kind, raw) for kind, raw in nested["models"].items()
+        }
+        profiles = {p.id: p for p in BUILTIN_PROFILES}
+        for pid, raw in nested["profiles"].items():
+            if pid not in profiles:
+                raise InvalidArgumentError(f"unknown profile {pid!r}")
+            profiles[pid] = replace(
+                profiles[pid], **check_params(f"profiles.{pid}", _PROFILE_WEIGHTS, raw)
+            )
         cfg.profiles = tuple(profiles[p.id] for p in BUILTIN_PROFILES)
         cfg.flat_echo = dict(sorted(flat.items()))
         return cfg
@@ -134,17 +145,6 @@ def load_base_dataset(cfg: ExperimentConfig) -> Dataset:
     if cfg.dataset_path:
         return read_csv(cfg.dataset_path)
     return generate_base_dataset(cfg.dataset_n, cfg.dataset_seed)
-
-
-def model_hyperparams(cfg: ExperimentConfig, name: str) -> dict:
-    params = dict(cfg.model_params.get(name, {}))
-    if "hidden" in params:   # comma-separated string in config files
-        hidden = params["hidden"]
-        if isinstance(hidden, (tuple, list)):
-            params["hidden"] = tuple(int(h) for h in hidden)
-        else:
-            params["hidden"] = tuple(int(h) for h in str(hidden).split(","))
-    return params
 
 
 def evaluate_side(cfg: ExperimentConfig, dataset: Dataset, side: str):
@@ -166,7 +166,7 @@ def evaluate_side(cfg: ExperimentConfig, dataset: Dataset, side: str):
         seed = derive_model_seed(cfg.seed, side, name)
         started = time.perf_counter()
         try:
-            model = train_model(name, X_train, y_train, model_hyperparams(cfg, name), seed)
+            model = train_model(name, X_train, y_train, cfg.model_params.get(name), seed)
             y_pred = model.predict(X_test)
             models[name] = {"metrics": metric_block(y_test, y_pred).to_doc()}
             predictions[name] = (y_test, y_pred)
@@ -185,6 +185,13 @@ def evaluate_side(cfg: ExperimentConfig, dataset: Dataset, side: str):
     return report, timings, predictions
 
 
+def _pct_change(base: float | None, aug: float | None) -> float | None:
+    """Change from base to aug in percent of |base|; None where undefined."""
+    if base is None or aug is None or base == 0.0:
+        return None
+    return 100.0 * (aug - base) / abs(base)
+
+
 def _delta_pct(base: dict, aug: dict) -> dict:
     out = {}
     for name in base:
@@ -193,9 +200,7 @@ def _delta_pct(base: dict, aug: dict) -> dict:
         if not mb or not ma:
             continue
         out[name] = {
-            "rmse_pct": 100.0 * (ma["rmse"] - mb["rmse"]) / mb["rmse"],
-            "mae_pct": 100.0 * (ma["mae"] - mb["mae"]) / mb["mae"],
-            "r2_pct": 100.0 * (ma["r2"] - mb["r2"]) / abs(mb["r2"]),
+            f"{m}_pct": _pct_change(mb[m], ma[m]) for m in ("rmse", "mae", "r2")
         }
     return out
 
@@ -208,7 +213,7 @@ def run_compare(cfg: ExperimentConfig):
     aug_report, aug_times, _ = evaluate_side(cfg, augmented, "augmented")
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
-        "config": getattr(cfg, "flat_echo", {}),
+        "config": cfg.flat_echo,
         "seed": cfg.seed,
         "base": base_report,
         "augmented": aug_report,
@@ -239,12 +244,13 @@ def write_compare_csv(report: dict, path) -> None:
             if not mb or not ma:
                 continue
             delta = report["delta_pct"][name]
-            writer.writerow(
-                [name]
-                + [repr(mb[m]) for m in metrics]
-                + [repr(ma[m]) for m in metrics]
-                + [repr(delta[k]) for k in ("rmse_pct", "mae_pct", "r2_pct")]
+            cells = (
+                [mb[m] for m in metrics]
+                + [ma[m] for m in metrics]
+                + [delta[k] for k in ("rmse_pct", "mae_pct", "r2_pct")]
             )
+            # An undefined metric is an empty cell.
+            writer.writerow([name] + ["" if v is None else repr(v) for v in cells])
 
 
 def run_scatter_export(cfg: ExperimentConfig, model_name: str, path) -> int:
@@ -254,7 +260,6 @@ def run_scatter_export(cfg: ExperimentConfig, model_name: str, path) -> int:
     base = load_base_dataset(cfg)
     augmented = augment_dataset(base, cfg.augment, cfg.profiles)
     single = replace(cfg, roster=(model_name,))
-    single.model_params = cfg.model_params
     _, _, predictions = evaluate_side(single, augmented, "augmented")
     if model_name not in predictions:
         raise QoeForgeError(f"model {model_name!r} failed to train")

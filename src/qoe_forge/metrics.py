@@ -12,11 +12,13 @@ from .errors import InvalidArgumentError, SchemaMismatchError, UndefinedMetricEr
 
 @dataclass(frozen=True)
 class MetricBlock:
+    """None marks an undefined metric: a constant target or prediction."""
+
     rmse: float
     mae: float
-    r2: float
-    plcc: float
-    srcc: float
+    r2: float | None
+    plcc: float | None
+    srcc: float | None
     n: int
 
     def to_doc(self) -> dict:
@@ -55,7 +57,8 @@ def mae(y, y_hat) -> float:
 def r2(y, y_hat) -> float:
     y, y_hat = _check_pair(y, y_hat)
     denom = float(np.sum((y - np.mean(y)) ** 2))
-    if denom == 0.0:
+    # np.mean of equal values can miss them by an ulp, so test constancy exactly.
+    if denom == 0.0 or np.ptp(y) == 0.0:
         raise UndefinedMetricError("r2 undefined for constant y")
     return float(1.0 - np.sum((y - y_hat) ** 2) / denom)
 
@@ -67,7 +70,7 @@ def plcc(a, b) -> float:
     da = a - np.mean(a)
     db = b - np.mean(b)
     denom = float(np.sqrt(np.sum(da**2) * np.sum(db**2)))
-    if denom == 0.0:
+    if denom == 0.0 or np.ptp(a) == 0.0 or np.ptp(b) == 0.0:
         raise UndefinedMetricError("plcc undefined for constant input")
     return float(np.sum(da * db) / denom)
 
@@ -104,14 +107,21 @@ def srcc(a, b) -> float:
     return plcc(ra, rb)
 
 
+def _unless_undefined(metric, y, y_hat) -> float | None:
+    try:
+        return metric(y, y_hat)
+    except UndefinedMetricError:
+        return None
+
+
 def metric_block(y, y_hat) -> MetricBlock:
     y_arr = np.asarray(y, dtype=np.float64)
     return MetricBlock(
         rmse=rmse(y, y_hat),
         mae=mae(y, y_hat),
-        r2=r2(y, y_hat),
-        plcc=plcc(y, y_hat),
-        srcc=srcc(y, y_hat),
+        r2=_unless_undefined(r2, y, y_hat),
+        plcc=_unless_undefined(plcc, y, y_hat),
+        srcc=_unless_undefined(srcc, y, y_hat),
         n=int(y_arr.size),
     )
 

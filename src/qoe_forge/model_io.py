@@ -1,8 +1,15 @@
-"""Versioned JSON model documents: train/evaluate separation for every model kind."""
+"""The model registry and versioned JSON model documents.
+
+``MODELS`` maps every model kind to its fit function, its model class and,
+for the networks, its config dataclass. Training, param checking, saving and
+loading all dispatch through it, so adding a kind is adding one row.
+"""
 
 from __future__ import annotations
 
+import dataclasses
 import json
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -13,48 +20,76 @@ from .deep.networks import (
     MlpNet,
     TabNetConfig,
     TabNetLite,
-    _TargetScaler,
+    TargetScaler,
     train_attention_mlp,
     train_mlp,
     train_tabnet_lite,
 )
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, QoeForgeError
+from .params import check_params, field_types, keyword_types
 from .preprocessing import FittedPreprocessor
 
 SCHEMA_VERSION = 1
 
-CLASSICAL_KINDS = (
-    "linear_regression",
-    "decision_tree",
-    "random_forest",
-    "gradient_boosting",
-    "knn",
-)
-DEEP_KINDS = ("mlp", "attention_mlp", "tabnet")
-ALL_KINDS = CLASSICAL_KINDS + DEEP_KINDS
+
+class ModelKind(NamedTuple):
+    """A classical kind is fit as ``fit(X, y, **params)`` and saved with the
+    model's ``to_doc``; a network (``config`` set) is fit as
+    ``fit(X, y, config(**params), seed)`` and saved as config plus weights."""
+
+    fit: Callable
+    model: type
+    config: type | None = None
+
+
+MODELS: dict[str, ModelKind] = {
+    "linear_regression": ModelKind(classical.fit_linear, classical.LinearModel),
+    "decision_tree": ModelKind(classical.fit_tree, classical.TreeModel),
+    "random_forest": ModelKind(classical.fit_forest, classical.ForestModel),
+    "gradient_boosting": ModelKind(classical.fit_boosted, classical.BoostedModel),
+    "knn": ModelKind(classical.fit_knn, classical.KnnModel),
+    "mlp": ModelKind(train_mlp, MlpNet, MlpConfig),
+    "attention_mlp": ModelKind(train_attention_mlp, AttentionMlpNet, MlpConfig),
+    "tabnet": ModelKind(train_tabnet_lite, TabNetLite, TabNetConfig),
+}
+ALL_KINDS = tuple(MODELS)
+
+# kind -> {param name: declared annotation}: the fit function's keyword
+# arguments for classical kinds, the config dataclass fields for networks.
+PARAM_TYPES = {
+    kind: field_types(spec.config) if spec.config else keyword_types(spec.fit)
+    for kind, spec in MODELS.items()
+}
+
+
+def _spec(kind) -> ModelKind:
+    if kind not in MODELS:
+        raise InvalidArgumentError(f"unknown model kind {kind!r}")
+    return MODELS[kind]
+
+
+def model_params(kind: str, raw: dict | None) -> dict:
+    """Check ``raw`` against the params ``kind`` declares and convert each value
+    to its declared type; a bad name or value names ``models.<kind>.<param>``."""
+    if kind not in PARAM_TYPES:
+        raise InvalidArgumentError(
+            f"models.{kind}: unknown model kind; known: {', '.join(ALL_KINDS)}"
+        )
+    return check_params(f"models.{kind}", PARAM_TYPES[kind], raw or {})
 
 
 def train_model(kind: str, X, y, params: dict | None = None, seed: int = 0):
-    """Fit a model of the given kind; ``params`` override the defaults."""
-    params = dict(params or {})
-    if kind == "linear_regression":
-        return classical.fit_linear(X, y, **params)
-    if kind == "decision_tree":
-        return classical.fit_tree(X, y, **params)
-    if kind == "random_forest":
+    """Fit a model of the given kind; ``params`` override the defaults.
+
+    A classical fit that takes a ``seed`` gets ``seed`` unless params set it.
+    """
+    spec = _spec(kind)
+    params = model_params(kind, params)
+    if spec.config is not None:
+        return spec.fit(X, y, spec.config(**params), seed)
+    if "seed" in PARAM_TYPES[kind]:
         params.setdefault("seed", seed)
-        return classical.fit_forest(X, y, **params)
-    if kind == "gradient_boosting":
-        return classical.fit_boosted(X, y, **params)
-    if kind == "knn":
-        return classical.fit_knn(X, y, **params)
-    if kind == "mlp":
-        return train_mlp(X, y, MlpConfig(**params), seed)
-    if kind == "attention_mlp":
-        return train_attention_mlp(X, y, MlpConfig(**params), seed)
-    if kind == "tabnet":
-        return train_tabnet_lite(X, y, TabNetConfig(**params), seed)
-    raise InvalidArgumentError(f"unknown model kind {kind!r}")
+    return spec.fit(X, y, **params)
 
 
 def _net_state(net) -> dict:
@@ -64,10 +99,7 @@ def _net_state(net) -> dict:
             for name, p in net.param_entries()
         },
         "norm": {name: bn.state() for name, bn in net.norm_layers()},
-        "target_scaler": {
-            "mean": net.target_scaler.mean,
-            "std": net.target_scaler.std,
-        },
+        "target_scaler": dataclasses.asdict(net.target_scaler),
     }
 
 
@@ -77,85 +109,53 @@ def _load_net_state(net, state: dict) -> None:
         p.data = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
     for name, bn in net.norm_layers():
         bn.load_state(state["norm"][name])
-    scaler = _TargetScaler.__new__(_TargetScaler)
-    scaler.mean = float(state["target_scaler"]["mean"])
-    scaler.std = float(state["target_scaler"]["std"])
-    net.target_scaler = scaler
+    scaler = state["target_scaler"]
+    net.target_scaler = TargetScaler(float(scaler["mean"]), float(scaler["std"]))
 
 
 def model_to_doc(kind: str, model, preprocessor: FittedPreprocessor | None = None) -> dict:
+    spec = _spec(kind)
     doc: dict = {"schema_version": SCHEMA_VERSION, "kind": kind}
-    if kind in CLASSICAL_KINDS:
+    if spec.config is None:
         doc["state"] = model.to_doc()
-    elif kind in ("mlp", "attention_mlp"):
-        doc["config"] = {
-            "hidden": list(model.cfg.hidden),
-            "attention_hidden": model.cfg.attention_hidden,
-            "dropout": model.cfg.dropout,
-            "learning_rate": model.cfg.learning_rate,
-            "batch_size": model.cfg.batch_size,
-            "epochs": model.cfg.epochs,
-        }
-        doc["n_features"] = model.n_features
-        doc["state"] = _net_state(model)
-    elif kind == "tabnet":
-        doc["config"] = {
-            "n_steps": model.cfg.n_steps,
-            "relaxation": model.cfg.relaxation,
-            "sparsity": model.cfg.sparsity,
-            "step_dim": model.cfg.step_dim,
-            "batch_size": model.cfg.batch_size,
-            "virtual_batch": model.cfg.virtual_batch,
-            "max_epochs": model.cfg.max_epochs,
-            "patience": model.cfg.patience,
-            "learning_rate": model.cfg.learning_rate,
-            "validation_fraction": model.cfg.validation_fraction,
-        }
-        doc["n_features"] = model.n_features
-        doc["state"] = _net_state(model)
     else:
-        raise InvalidArgumentError(f"unknown model kind {kind!r}")
+        doc["config"] = dataclasses.asdict(model.cfg)
+        doc["n_features"] = model.n_features
+        doc["state"] = _net_state(model)
     if preprocessor is not None:
         doc["preprocessor"] = preprocessor.to_doc()
     return doc
 
 
-def model_from_doc(doc: dict):
+def model_from_doc(doc) -> tuple:
     """Returns (kind, model, preprocessor or None)."""
+    if not isinstance(doc, dict):
+        raise InvalidArgumentError("model document is not a JSON object")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise InvalidArgumentError(
             f"unsupported model document version {doc.get('schema_version')!r}"
         )
-    kind = doc["kind"]
-    rng = np.random.default_rng(0)  # init is overwritten below
-    if kind == "linear_regression":
-        model = classical.LinearModel.from_doc(doc["state"])
-    elif kind == "decision_tree":
-        model = classical.TreeModel.from_doc(doc["state"])
-    elif kind == "random_forest":
-        model = classical.ForestModel.from_doc(doc["state"])
-    elif kind == "gradient_boosting":
-        model = classical.BoostedModel.from_doc(doc["state"])
-    elif kind == "knn":
-        model = classical.KnnModel.from_doc(doc["state"])
-    elif kind in ("mlp", "attention_mlp"):
-        cfg_doc = dict(doc["config"])
-        cfg_doc["hidden"] = tuple(cfg_doc["hidden"])
-        cfg = MlpConfig(**cfg_doc)
-        cls = MlpNet if kind == "mlp" else AttentionMlpNet
-        model = cls(int(doc["n_features"]), cfg, rng)
-        _load_net_state(model, doc["state"])
-    elif kind == "tabnet":
-        cfg = TabNetConfig(**doc["config"])
-        model = TabNetLite(int(doc["n_features"]), cfg, rng)
-        _load_net_state(model, doc["state"])
-    else:
-        raise InvalidArgumentError(f"unknown model kind {kind!r}")
-    pre = (
-        FittedPreprocessor.from_doc(doc["preprocessor"])
-        if "preprocessor" in doc
-        else None
-    )
+    kind = doc.get("kind")
+    spec = _spec(kind)
+    try:
+        if spec.config is None:
+            model = spec.model.from_doc(doc["state"])
+        else:
+            cfg = spec.config(**model_params(kind, doc["config"]))
+            rng = np.random.default_rng(0)  # init is overwritten below
+            model = spec.model(int(doc["n_features"]), cfg, rng)
+            _load_net_state(model, doc["state"])
+        pre = (
+            FittedPreprocessor.from_doc(doc["preprocessor"])
+            if "preprocessor" in doc
+            else None
+        )
+    except QoeForgeError:
+        raise
+    except KeyError as exc:
+        raise InvalidArgumentError(f"{kind} model document has no field {exc}") from None
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise InvalidArgumentError(f"malformed {kind} model document: {exc}") from None
     return kind, model, pre
 
 
@@ -167,4 +167,8 @@ def save_model(path, kind: str, model, preprocessor=None) -> None:
 
 def load_model(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return model_from_doc(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise InvalidArgumentError(f"{path}: not a JSON model document: {exc}") from None
+    return model_from_doc(doc)

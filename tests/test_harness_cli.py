@@ -13,6 +13,7 @@ from qoe_forge.model_io import load_model
 from qoe_forge.errors import InvalidArgumentError
 from qoe_forge.harness import (
     ExperimentConfig,
+    _delta_pct,
     derive_model_seed,
     parse_config_file,
     report_to_json,
@@ -79,6 +80,16 @@ class TestConfigParsing:
         gamer = next(p for p in cfg.profiles if p.id == "gamer_sports")
         assert gamer.w_rebuff == 3.5
 
+    def test_from_flat_checks_and_converts_values(self):
+        flat = {"models.mlp.hidden": "16,8", "models.decision_tree.max_depth": "None",
+                "run.include_demographic_feature": False, "dataset.n": 90}
+        cfg = ExperimentConfig.from_flat(flat)
+        assert cfg.model_params == {"mlp": {"hidden": (16, 8)},
+                                    "decision_tree": {"max_depth": None}}
+        assert cfg.include_demographic_feature is False
+        assert cfg.flat_echo == dict(sorted(flat.items()))
+        assert ExperimentConfig().flat_echo == {}
+
     def test_unknown_key_rejected(self):
         with pytest.raises(InvalidArgumentError):
             ExperimentConfig.from_flat({"dataset.rows": 10})
@@ -86,6 +97,27 @@ class TestConfigParsing:
             ExperimentConfig.from_flat({"run.roster": "svm"})
         with pytest.raises(InvalidArgumentError):
             ExperimentConfig.from_flat({"profiles.nobody.w_rebuff": 1.0})
+
+    @pytest.mark.parametrize("key, value", [
+        ("models.knn.kk", 3),
+        ("models.knn.k", "abc"),
+        ("models.mlp.hidden", "a,b"),
+        ("models.random_forest.n_trees", 2.5),
+        ("models.svm", None),
+        ("dataset.n", "abc"),
+        ("dataset.seed", 1.5),
+        ("run.include_demographic_feature", "no"),
+        ("augment.noise_sigma", "loud"),
+        ("augment.sigma", 1.0),
+        ("split.test_fraction", "half"),
+        ("profiles.gamer_sports.w_rebuff", "abc"),
+        ("profiles.gamer_sports.w_rebuf", 2),
+        ("profiles.gamer_sports.id", "x"),
+    ])
+    def test_bad_value_names_its_key(self, key, value):
+        flat = {"models.svm.k": 3} if value is None else {key: value}
+        with pytest.raises(InvalidArgumentError, match=f"^{key}[:;.]"):
+            ExperimentConfig.from_flat(flat)
 
 
 class TestSeedDerivation:
@@ -152,6 +184,16 @@ class TestRunCompare:
         run_compare(ExperimentConfig(dataset_n=30, dataset_seed=5,
                                      roster=("linear_regression",), seed=1))
         assert sorted(hashed) == [30, 180]
+
+    def test_delta_pct_undefined_is_none(self):
+        base = {"m": {"metrics": {"rmse": 0.0, "mae": 2.0, "r2": None}},
+                "z": {"metrics": {"rmse": 1.0, "mae": 1.0, "r2": 0.0}}}
+        aug = {"m": {"metrics": {"rmse": 1.0, "mae": 1.0, "r2": 0.5}},
+               "z": {"metrics": {"rmse": 2.0, "mae": 1.0, "r2": 0.5}}}
+        assert _delta_pct(base, aug) == {
+            "m": {"rmse_pct": None, "mae_pct": -50.0, "r2_pct": None},
+            "z": {"rmse_pct": 100.0, "mae_pct": 0.0, "r2_pct": None},
+        }
 
     def test_compare_csv(self, result, tmp_path):
         report, _ = result
@@ -240,6 +282,98 @@ class TestCli:
         kind, net, _ = load_model(model)
         assert kind == "mlp"
         assert [layer.W.data.shape for layer in net.hidden_layers] == [(12, 16), (16, 8)]
+
+    @pytest.mark.parametrize("key, value", [
+        ("models.knn.kk", "3"),
+        ("models.knn.k", "abc"),
+        ("models.mlp.hidden", "a,b"),
+        ("models.random_forest.n_trees", "2.5"),
+        ("models.svm", "3"),
+        ("dataset.n", "abc"),
+        ("profiles.gamer_sports.w_rebuff", "abc"),
+        ("profiles.gamer_sports.w_rebuf", "2"),
+        ("run.include_demographic_feature", "no"),
+    ])
+    @pytest.mark.parametrize("command", ["train", "compare", "scatter"])
+    def test_bad_config_value_exits_1_before_running(self, tmp_path, capsys, key, value,
+                                                     command):
+        base, cfg, out = tmp_path / "b.csv", tmp_path / "c.cfg", tmp_path / "out"
+        line = "models.svm.k = 3" if key == "models.svm" else f"{key} = {value}"
+        cfg.write_text(line + "\n")
+        argv = {
+            "train": ["train", "--in", str(base), "--model", "knn"],
+            "compare": ["compare"],
+            "scatter": ["scatter", "--model", "knn"],
+        }[command]
+        # The input CSV does not exist: the config must fail before it is read.
+        assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_train_config_max_depth_none(self, tmp_path, capsys):
+        base, model, cfg = tmp_path / "b.csv", tmp_path / "dt.json", tmp_path / "c.cfg"
+        cfg.write_text("models.decision_tree.max_depth = None\n")
+        main(["generate", "--n", "40", "--seed", "5", "--out", str(base)])
+        assert main(["train", "--in", str(base), "--model", "decision_tree",
+                     "--config", str(cfg), "--out", str(model)]) == 0
+        assert json.loads(model.read_text())["state"]["max_depth"] is None
+
+    def test_undefined_metrics_are_null_not_errors(self, tmp_path, capsys):
+        # max_depth = 0 is a constant predictor: plcc and srcc are undefined.
+        cfg = fast_config(tmp_path, "models.decision_tree.max_depth = 0\n")
+        out = tmp_path / "out"
+        assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        for side in ("base", "augmented"):
+            block = report[side]["models"]["decision_tree"]["metrics"]
+            assert block["plcc"] is None and block["srcc"] is None
+            assert block["rmse"] > 0 and block["mae"] > 0
+        rows = {r.split(",", 1)[0]: r.split(",") for r in
+                (out / "compare.csv").read_text().splitlines()[1:]}
+        assert rows["decision_tree"][4:6] == ["", ""]  # plcc_base, srcc_base
+        assert "" not in rows["knn"]
+
+        base, model = tmp_path / "b.csv", tmp_path / "dt.json"
+        main(["generate", "--n", "40", "--seed", "5", "--out", str(base)])
+        assert main(["train", "--in", str(base), "--model", "decision_tree",
+                     "--config", str(cfg), "--out", str(model)]) == 0
+        capsys.readouterr()
+        assert main(["evaluate", "--model", str(model), "--in", str(base)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["metrics"]["plcc"] is None and doc["metrics"]["srcc"] is None
+
+    @pytest.mark.parametrize("text", [
+        "not json\n",
+        "[1, 2]\n",
+        '{"schema_version": 1, "state": {}}\n',
+        '{"schema_version": 1, "kind": "knn"}\n',
+    ])
+    def test_evaluate_bad_model_file_exits_1(self, tmp_path, capsys, text):
+        base, model = tmp_path / "b.csv", tmp_path / "m.json"
+        main(["generate", "--n", "20", "--seed", "5", "--out", str(base)])
+        model.write_text(text)
+        capsys.readouterr()
+        assert main(["evaluate", "--model", str(model), "--in", str(base)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "--model", "m.json", "--in", "t.csv", "--seed", "1"],
+        ["evaluate", "--model", "m.json", "--in", "t.csv", "--config", "c.cfg"],
+        ["correlate", "--in", "a.csv", "--feature", "vmaf_mean", "--out", "o.csv",
+         "--seed", "1"],
+        ["correlate", "--in", "a.csv", "--feature", "vmaf_mean", "--out", "o.csv",
+         "--config", "c.cfg"],
+        ["generate", "--n", "5", "--out", "g.csv", "--config", "c.cfg"],
+        ["augment", "--in", "b.csv", "--out", "a.csv", "--config", "c.cfg"],
+        ["split", "--in", "a.csv", "--out-train", "t.csv", "--out-test", "s.csv",
+         "--config", "c.cfg"],
+    ])
+    def test_removed_options_are_usage_errors(self, argv, capsys):
+        assert main(argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_correlate(self, tmp_path):
         base, aug = tmp_path / "b.csv", tmp_path / "a.csv"

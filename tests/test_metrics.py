@@ -159,6 +159,27 @@ class TestErrorPaths:
         with pytest.raises(UndefinedMetricError):
             plcc(const, varying)
 
+    def test_constant_input_whose_mean_is_off_by_an_ulp(self):
+        # np.mean([0.1] * 3) != 0.1, so the centred sum of squares is about
+        # 6e-34, not 0; constancy is still detected.
+        const = np.full(3, 0.1)
+        assert np.sum((const - np.mean(const)) ** 2) > 0.0
+        with pytest.raises(UndefinedMetricError):
+            r2(const, np.arange(3.0))
+        with pytest.raises(UndefinedMetricError):
+            plcc(np.arange(3.0), const)
+
+    def test_metric_block_reports_undefined_as_none(self):
+        y = np.arange(6.0)
+        block = metric_block(y, np.full(6, 0.1))  # a constant predictor
+        assert (block.r2, block.plcc, block.srcc) == (
+            pytest.approx(r2(y, np.full(6, 0.1))), None, None)
+        assert block.rmse == rmse(y, np.full(6, 0.1))
+        assert block.mae == mae(y, np.full(6, 0.1))
+        const_y = metric_block(np.full(4, 2.0), np.arange(4.0)).to_doc()
+        assert const_y["r2"] is None and const_y["plcc"] is None
+        assert const_y["srcc"] is None and const_y["n"] == 4
+
     def test_shape_and_finiteness(self):
         with pytest.raises(InvalidArgumentError):
             rmse([1.0, 2.0], [1.0])

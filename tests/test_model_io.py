@@ -1,16 +1,21 @@
-"""Versioned model documents: every kind survives a save/load round trip."""
+"""The model registry, param checking, and versioned model documents."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qoe_forge.errors import InvalidArgumentError
+from qoe_forge import classical
+from qoe_forge.errors import InvalidArgumentError, QoeForgeError
 from qoe_forge.model_io import (
     ALL_KINDS,
+    MODELS,
+    PARAM_TYPES,
     SCHEMA_VERSION,
     load_model,
     model_from_doc,
+    model_params,
     model_to_doc,
     save_model,
     train_model,
@@ -94,3 +99,144 @@ def test_doc_round_trip_without_files():
     doc = model_to_doc("knn", model)
     _, restored, _ = model_from_doc(doc)
     np.testing.assert_array_equal(model.predict(X), restored.predict(X))
+
+
+# Documents saved by an earlier release (schema version 1), one small model
+# per kind; the classical ones were fit on 12 features. Each must load and
+# save back to the same bytes.
+V1_DOCS = Path(__file__).parent / "data" / "model_docs_v1.json"
+
+
+def test_schema_v1_documents_reload_byte_identical():
+    docs = json.loads(V1_DOCS.read_text())
+    assert tuple(docs) == tuple(sorted(ALL_KINDS))
+    for kind, doc in docs.items():
+        loaded_kind, model, pre = model_from_doc(doc)
+        assert loaded_kind == kind
+        assert isinstance(model, MODELS[kind].model)
+        again = model_to_doc(kind, model, pre)
+        assert json.dumps(again, sort_keys=True) == json.dumps(doc, sort_keys=True), kind
+        X = np.zeros((2, doc.get("n_features", 12)))
+        assert np.isfinite(model.predict(X)).all()
+
+
+class TestRegistry:
+    def test_kinds_are_the_table_rows(self):
+        assert ALL_KINDS == tuple(MODELS) == tuple(PARAM_TYPES)
+        assert len(ALL_KINDS) == 8
+
+    def test_declared_params(self):
+        mlp = {"hidden": "tuple[int, ...]", "attention_hidden": "int", "dropout": "float",
+               "learning_rate": "float", "batch_size": "int", "epochs": "int"}
+        tree = {"max_depth": "int | None", "min_samples_leaf": "int"}
+        assert PARAM_TYPES == {
+            "linear_regression": {"ridge_jitter": "float"},
+            # a tree's rng argument is not settable by name
+            "decision_tree": {**tree, "n_feature_subset": "int | None"},
+            "random_forest": {"n_trees": "int", "n_feature_subset": "int | None",
+                              "seed": "int", **tree, "bootstrap": "bool"},
+            "gradient_boosting": {"n_stages": "int", "learning_rate": "float", **tree},
+            "knn": {"k": "int"},
+            "mlp": mlp,
+            "attention_mlp": mlp,
+            "tabnet": {"n_steps": "int", "relaxation": "float", "sparsity": "float",
+                       "step_dim": "int", "batch_size": "int", "virtual_batch": "int",
+                       "max_epochs": "int", "patience": "int", "learning_rate": "float",
+                       "validation_fraction": "float"},
+        }
+
+    def test_forest_seed_defaults_to_the_run_seed(self):
+        X, y = small_problem()
+        a = train_model("random_forest", X, y, {"n_trees": 3}, seed=11)
+        b = classical.fit_forest(X, y, n_trees=3, seed=11)
+        assert a.to_doc() == b.to_doc()
+        c = train_model("random_forest", X, y, {"n_trees": 3, "seed": 11}, seed=0)
+        assert c.to_doc() == b.to_doc()
+
+
+class TestModelParams:
+    @pytest.mark.parametrize("kind, raw, expected", [
+        ("mlp", {"hidden": "64,32"}, {"hidden": (64, 32)}),
+        ("mlp", {"hidden": 16}, {"hidden": (16,)}),
+        ("mlp", {"hidden": [8, 4]}, {"hidden": (8, 4)}),
+        ("decision_tree", {"max_depth": "none"}, {"max_depth": None}),
+        ("decision_tree", {"max_depth": "None"}, {"max_depth": None}),
+        ("decision_tree", {"max_depth": None}, {"max_depth": None}),
+        ("decision_tree", {"max_depth": np.int64(4)}, {"max_depth": 4}),
+        ("random_forest", {"bootstrap": False, "n_trees": 3}, {"bootstrap": False, "n_trees": 3}),
+        ("gradient_boosting", {"learning_rate": 1}, {"learning_rate": 1.0}),
+        ("knn", None, {}),
+    ])
+    def test_converts_to_the_declared_type(self, kind, raw, expected):
+        got = model_params(kind, raw)
+        assert got == expected
+        assert [type(v) for v in got.values()] == [type(v) for v in expected.values()]
+
+    @pytest.mark.parametrize("kind, raw, key", [
+        ("knn", {"kk": 3}, "models.knn.kk"),
+        ("knn", {"k": "abc"}, "models.knn.k"),
+        ("knn", {"k": True}, "models.knn.k"),
+        ("random_forest", {"n_trees": 2.5}, "models.random_forest.n_trees"),
+        ("random_forest", {"bootstrap": "no"}, "models.random_forest.bootstrap"),
+        ("mlp", {"hidden": "a,b"}, "models.mlp.hidden"),
+        ("mlp", {"hidden": ""}, "models.mlp.hidden"),
+        ("mlp", {"hidden": ()}, "models.mlp.hidden"),
+        ("gradient_boosting", {"learning_rate": "fast"}, "models.gradient_boosting.learning_rate"),
+        ("decision_tree", {"rng": None}, "models.decision_tree.rng"),
+        ("svm", {"k": 3}, "models.svm"),
+    ])
+    def test_bad_name_or_value_names_the_key(self, kind, raw, key):
+        with pytest.raises(InvalidArgumentError, match=f"^{key}[:;]"):
+            model_params(kind, raw)
+        X, y = small_problem()
+        with pytest.raises(InvalidArgumentError):
+            train_model(kind, X, y, raw, seed=0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # nan/inf probes
+    def test_out_of_range_values_are_domain_errors(self):
+        X, y = small_problem()
+        base = {**FAST_PARAMS, "random_forest": {"n_trees": 2},
+                "gradient_boosting": {"n_stages": 2}}
+        probes = {"int": [-1, 0], "int | None": [-1, 0], "bool": [False],
+                  "float": [-1.0, 0.0, float("nan"), float("inf")],
+                  "tuple[int, ...]": [(0,), (-1,)]}
+        for kind, declared in PARAM_TYPES.items():
+            for name, annotation in declared.items():
+                for value in probes[annotation]:
+                    params = {**base.get(kind, {}), name: value}
+                    try:
+                        train_model(kind, X, y, params, seed=1).predict(X)
+                    except QoeForgeError:
+                        pass
+
+    def test_feature_subset_of_a_single_tree_needs_an_rng(self):
+        X, y = small_problem()
+        with pytest.raises(InvalidArgumentError, match="rng"):
+            train_model("decision_tree", X, y, {"n_feature_subset": 2}, seed=0)
+        train_model("decision_tree", X, y, {"n_feature_subset": 4}, seed=0)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("not json\n", "not a JSON model document"),
+    ("[1, 2]\n", "not a JSON object"),
+    ('{"schema_version": 1, "state": {}}\n', "unknown model kind None"),
+    ('{"schema_version": 1, "kind": "knn"}\n', "no field 'state'"),
+    ('{"schema_version": 1, "kind": "mlp", "config": {}, "n_features": 2}\n',
+     "no field 'state'"),
+    ('{"schema_version": 1, "kind": "knn", "state": []}\n', "malformed knn"),
+    ('{"schema_version": 1, "kind": "mlp", "config": {"hidden": "x"}, '
+     '"n_features": 2, "state": {}}\n', "models.mlp.hidden"),
+    ('{"schema_version": 2, "kind": "knn", "state": {}}\n', "version 2"),
+])
+def test_bad_model_documents_are_domain_errors(tmp_path, text, message):
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    with pytest.raises(InvalidArgumentError, match=message):
+        load_model(path)
+
+
+def test_non_utf8_model_file_is_a_domain_error(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(InvalidArgumentError, match="not a JSON model document"):
+        load_model(path)
