@@ -13,7 +13,7 @@ import sys
 
 from .data_model import generate_base_dataset, read_csv, write_csv
 from .demographics import AugmentationConfig, augment_dataset
-from .errors import QoeForgeError
+from .errors import InvalidArgumentError, QoeForgeError
 from .harness import (
     ExperimentConfig,
     derive_model_seed,
@@ -31,11 +31,17 @@ from .preprocessing import SplitSpec, fit_transform, split, transform
 ENV_SEED = "QOE_FORGE_SEED"
 
 
-def _default_seed(args) -> int:
+def _seed(args, default: int) -> int:
+    """The ``--seed`` flag, else ``$QOE_FORGE_SEED``, else ``default``."""
     if args.seed is not None:
         return args.seed
     env = os.environ.get(ENV_SEED)
-    return int(env) if env else 0
+    if not env:
+        return default
+    try:
+        return int(env)
+    except ValueError:
+        raise InvalidArgumentError(f"${ENV_SEED} must be an integer, got {env!r}") from None
 
 
 def _experiment_config(args) -> ExperimentConfig:
@@ -43,27 +49,24 @@ def _experiment_config(args) -> ExperimentConfig:
         cfg = ExperimentConfig.from_flat(parse_config_file(args.config))
     else:
         cfg = ExperimentConfig()
-    if args.seed is not None:
-        cfg.seed = args.seed
-    elif os.environ.get(ENV_SEED):
-        cfg.seed = int(os.environ[ENV_SEED])
+    cfg.seed = _seed(args, cfg.seed)
     return cfg
 
 
 def cmd_generate(args) -> int:
-    ds = generate_base_dataset(args.n, _default_seed(args))
+    ds = generate_base_dataset(args.n, _seed(args, 0))
     write_csv(ds, args.out)
     print(f"wrote {len(ds)} rows to {args.out}")
     return 0
 
 
 def cmd_augment(args) -> int:
-    base = read_csv(args.input)
     cfg = AugmentationConfig(
         noise_sigma=args.noise_sigma,
         adjustment_scale=args.adjustment_scale,
-        seed=_default_seed(args),
+        seed=_seed(args, 0),
     )
+    base = read_csv(args.input)
     aug = augment_dataset(base, cfg)
     write_csv(aug, args.out)
     print(f"wrote {len(aug)} rows to {args.out}")
@@ -71,10 +74,10 @@ def cmd_augment(args) -> int:
 
 
 def cmd_split(args) -> int:
-    ds = read_csv(args.input)
     spec = SplitSpec(
-        test_fraction=args.test_fraction, mode=args.mode, seed=_default_seed(args)
+        test_fraction=args.test_fraction, mode=args.mode, seed=_seed(args, 0)
     )
+    ds = read_csv(args.input)
     train_ds, test_ds = split(ds, spec)
     write_csv(train_ds, args.out_train)
     write_csv(test_ds, args.out_test)
@@ -147,12 +150,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def seed_option(p):
+    def seed_option(p, fallback="0"):
         p.add_argument("--seed", type=int, default=None,
-                       help=f"seed (falls back to ${ENV_SEED}, then 0)")
+                       help=f"seed (falls back to ${ENV_SEED}, then {fallback})")
 
     def experiment_options(p):
-        seed_option(p)
+        seed_option(p, "run.seed, then 42")
         p.add_argument("--config", default=None, help="experiment config file")
 
     p = sub.add_parser("generate", help="emit a synthetic base dataset CSV")

@@ -182,6 +182,8 @@ def generate_base_dataset(n: int, seed: int) -> Dataset:
 
     if n < 1:
         raise InvalidArgumentError(f"n must be >= 1, got {n}")
+    if seed < 0:
+        raise InvalidArgumentError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
 
     u = rng.uniform(0.0, 1.0, n)  # log-uniform quantile, reused as bitrate rank
@@ -240,8 +242,9 @@ def generate_base_dataset(n: int, seed: int) -> Dataset:
 def _quote(text: str) -> str:
     """``text`` as the csv module writes it as one cell of a row."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([text, ""])
-    return buf.getvalue()[:-2]  # drop the empty second cell's "," and "\n"
+    # "\r\n" as terminator makes the writer quote a lone "\r" as well as "\n".
+    csv.writer(buf, lineterminator="\r\n").writerow([text, ""])
+    return buf.getvalue()[:-3]  # drop the empty second cell's "," and "\r\n"
 
 
 def _csv_blocks(dataset: Dataset):

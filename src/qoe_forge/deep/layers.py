@@ -18,8 +18,8 @@ class Linear:
     def __call__(self, x: Tensor) -> Tensor:
         return add_bias(matmul(x, self.W), self.b)
 
-    def parameters(self) -> list[Tensor]:
-        return [self.W, self.b]
+    def named_parameters(self) -> list[tuple[str, Tensor]]:
+        return [("W", self.W), ("b", self.b)]
 
 
 class GhostBatchNorm:
@@ -43,8 +43,8 @@ class GhostBatchNorm:
         self.eps = eps
         self.frozen = False
 
-    def parameters(self) -> list[Tensor]:
-        return [self.gamma, self.beta]
+    def named_parameters(self) -> list[tuple[str, Tensor]]:
+        return [("gamma", self.gamma), ("beta", self.beta)]
 
     def _chunks(self, n: int) -> list[slice]:
         vb = self.virtual_batch

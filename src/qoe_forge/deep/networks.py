@@ -18,7 +18,6 @@ from .autodiff import (
     add,
     dropout,
     mask_entropy,
-    matmul,
     mse,
     mul,
     relu,
@@ -94,37 +93,48 @@ class TargetScaler:
         return y * self.std + self.mean
 
 
-class MlpNet:
-    """Plain fully connected regressor: hidden ReLU/dropout stack + linear head."""
+class Network:
+    """A network's trainable layers, declared once in ``blocks``.
 
-    kind = "mlp"
+    ``blocks`` is an ordered table: block name -> tuple of layers. Saved
+    parameter names (``<block>.<param>``), the optimizer's parameter list and
+    the norm layers with their running statistics are all read from it.
+    """
+
+    blocks: dict[str, tuple]
+
+    def param_entries(self) -> list[tuple[str, Tensor]]:
+        return [
+            (f"{name}.{pname}", p)
+            for name, layers in self.blocks.items()
+            for layer in layers
+            for pname, p in layer.named_parameters()
+        ]
+
+    def parameters(self) -> list[Tensor]:
+        return [p for _, p in self.param_entries()]
+
+    def norm_layers(self) -> list[tuple[str, GhostBatchNorm]]:
+        return [
+            (name, layer)
+            for name, layers in self.blocks.items()
+            for layer in layers
+            if isinstance(layer, GhostBatchNorm)
+        ]
+
+
+class MlpNet(Network):
+    """Plain fully connected regressor: hidden ReLU/dropout stack + linear head."""
 
     def __init__(self, n_features: int, cfg: MlpConfig, rng: np.random.Generator):
         self.cfg = cfg
         self.n_features = n_features
         sizes = [n_features, *cfg.hidden]
-        self.hidden_layers = [
-            Linear(sizes[i], sizes[i + 1], rng) for i in range(len(sizes) - 1)
-        ]
+        self.hidden_layers = [Linear(a, b, rng) for a, b in zip(sizes, sizes[1:])]
         self.head = Linear(sizes[-1], 1, rng)
+        self.blocks = {f"hidden{i}": (layer,) for i, layer in enumerate(self.hidden_layers)}
+        self.blocks["head"] = (self.head,)
         self.target_scaler = TargetScaler()  # set by training or loading
-
-    def parameters(self) -> list[Tensor]:
-        out = []
-        for layer in self.hidden_layers:
-            out.extend(layer.parameters())
-        out.extend(self.head.parameters())
-        return out
-
-    def param_entries(self) -> list[tuple[str, Tensor]]:
-        out = []
-        for i, layer in enumerate(self.hidden_layers):
-            out += [(f"hidden{i}.W", layer.W), (f"hidden{i}.b", layer.b)]
-        out += [("head.W", self.head.W), ("head.b", self.head.b)]
-        return out
-
-    def norm_layers(self) -> list[tuple[str, GhostBatchNorm]]:
-        return []
 
     def forward(self, x: Tensor, training: bool, rng: np.random.Generator) -> Tensor:
         h = x
@@ -144,40 +154,22 @@ class MlpNet:
 class AttentionMlpNet(MlpNet):
     """MLP with a learned sigmoid feature gate applied before the stack."""
 
-    kind = "attention_mlp"
-
     def __init__(self, n_features: int, cfg: MlpConfig, rng: np.random.Generator):
         # Gate layers are created first so the MLP stack sees the same rng
         # stream regardless of subclass; order is fixed for determinism.
-        self.gate_in = Linear(n_features, cfg.attention_hidden, rng)
-        self.gate_out = Linear(cfg.attention_hidden, n_features, rng)
+        gate = {
+            "gate_in": (Linear(n_features, cfg.attention_hidden, rng),),
+            "gate_out": (Linear(cfg.attention_hidden, n_features, rng),),
+        }
         super().__init__(n_features, cfg, rng)
-
-    def parameters(self) -> list[Tensor]:
-        return (
-            self.gate_in.parameters()
-            + self.gate_out.parameters()
-            + super().parameters()
-        )
-
-    def param_entries(self) -> list[tuple[str, Tensor]]:
-        gate = [
-            ("gate_in.W", self.gate_in.W),
-            ("gate_in.b", self.gate_in.b),
-            ("gate_out.W", self.gate_out.W),
-            ("gate_out.b", self.gate_out.b),
-        ]
-        return gate + super().param_entries()
+        self.blocks = {**gate, **self.blocks}
 
     def gate(self, x: Tensor) -> Tensor:
-        return sigmoid(self.gate_out(relu(self.gate_in(x))))
+        (gate_in,), (gate_out,) = self.blocks["gate_in"], self.blocks["gate_out"]
+        return sigmoid(gate_out(relu(gate_in(x))))
 
     def forward(self, x: Tensor, training: bool, rng: np.random.Generator) -> Tensor:
-        gated = mul(x, self.gate(x))
-        h = gated
-        for layer in self.hidden_layers:
-            h = dropout(relu(layer(h)), self.cfg.dropout, rng, training)
-        return self.head(h)
+        return super().forward(mul(x, self.gate(x)), training, rng)
 
     def mean_gate(self, X) -> np.ndarray:
         """Mean attention gate over a dataset; feature-importance readout."""
@@ -185,70 +177,35 @@ class AttentionMlpNet(MlpNet):
         return alpha.data.mean(axis=0)
 
 
-class TabNetLite:
+class TabNetLite(Network):
     """Sequential sparsemax feature masks with ghost batch normalization.
 
     Each decision step masks the input with a sparsemax attention vector
     (relaxed by the prior of earlier steps), runs a two-block feature
     transformer, and contributes a ReLU'd vector to the summed decision
-    output. Loss adds a mask-entropy sparsity term.
+    output. Loss adds a mask-entropy sparsity term. Step ``t`` uses the
+    blocks ``attentive<t>``, ``transform1<t>`` and ``transform2<t>``, each a
+    linear layer followed by a ghost batch norm.
     """
-
-    kind = "tabnet"
 
     def __init__(self, n_features: int, cfg: TabNetConfig, rng: np.random.Generator):
         self.cfg = cfg
         self.n_features = n_features
-        vb = cfg.virtual_batch
-        self.attentive = []
-        self.transform1 = []
-        self.transform2 = []
-        for _ in range(cfg.n_steps):
-            self.attentive.append((Linear(n_features, n_features, rng),
-                                   GhostBatchNorm(n_features, vb)))
-            self.transform1.append((Linear(n_features, cfg.step_dim, rng),
-                                    GhostBatchNorm(cfg.step_dim, vb)))
-            self.transform2.append((Linear(cfg.step_dim, cfg.step_dim, rng),
-                                    GhostBatchNorm(cfg.step_dim, vb)))
-        self.head = Linear(cfg.step_dim, 1, rng)
+        d, k, vb = n_features, cfg.step_dim, cfg.virtual_batch
+        # Linear layers are drawn step by step; the table lists them by block.
+        steps = [
+            (Linear(d, d, rng), Linear(d, k, rng), Linear(k, k, rng))
+            for _ in range(cfg.n_steps)
+        ]
+        self.blocks = {}
+        for block, dim, linears in zip(
+            ("attentive", "transform1", "transform2"), (d, k, k), zip(*steps)
+        ):
+            for t, lin in enumerate(linears):
+                self.blocks[f"{block}{t}"] = (lin, GhostBatchNorm(dim, vb))
+        self.head = Linear(k, 1, rng)
+        self.blocks["head"] = (self.head,)
         self.target_scaler = TargetScaler()  # set by training or loading
-
-    def parameters(self) -> list[Tensor]:
-        out = []
-        for group in (self.attentive, self.transform1, self.transform2):
-            for lin, bn in group:
-                out.extend(lin.parameters())
-                out.extend(bn.parameters())
-        out.extend(self.head.parameters())
-        return out
-
-    def param_entries(self) -> list[tuple[str, Tensor]]:
-        out = []
-        for gname, group in (
-            ("attentive", self.attentive),
-            ("transform1", self.transform1),
-            ("transform2", self.transform2),
-        ):
-            for t, (lin, bn) in enumerate(group):
-                out += [
-                    (f"{gname}{t}.W", lin.W),
-                    (f"{gname}{t}.b", lin.b),
-                    (f"{gname}{t}.gamma", bn.gamma),
-                    (f"{gname}{t}.beta", bn.beta),
-                ]
-        out += [("head.W", self.head.W), ("head.b", self.head.b)]
-        return out
-
-    def norm_layers(self) -> list[tuple[str, GhostBatchNorm]]:
-        out = []
-        for gname, group in (
-            ("attentive", self.attentive),
-            ("transform1", self.transform1),
-            ("transform2", self.transform2),
-        ):
-            for t, (_, bn) in enumerate(group):
-                out.append((f"{gname}{t}", bn))
-        return out
 
     def set_frozen_norm(self, frozen: bool) -> None:
         for _, bn in self.norm_layers():
@@ -261,15 +218,15 @@ class TabNetLite:
         contribs = []
         total = None
         for t in range(self.cfg.n_steps):
-            lin_a, bn_a = self.attentive[t]
+            lin_a, bn_a = self.blocks[f"attentive{t}"]
             scores = mul(prior, bn_a(lin_a(x), training))
             mask = sparsemax(scores)
             masks.append(mask)
             relaxed = add(scale(mask, -1.0), Tensor(np.full((n, d), self.cfg.relaxation)))
             prior = mul(prior, relaxed)
 
-            lin1, bn1 = self.transform1[t]
-            lin2, bn2 = self.transform2[t]
+            lin1, bn1 = self.blocks[f"transform1{t}"]
+            lin2, bn2 = self.blocks[f"transform2{t}"]
             h = relu(bn1(lin1(mul(x, mask)), training))
             contrib = relu(bn2(lin2(h), training))
             contribs.append(contrib)
@@ -323,71 +280,32 @@ def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
 
 
 def train_mlp(X, y, cfg: MlpConfig, seed: int) -> MlpNet:
-    return _train_fixed_epochs(MlpNet, X, y, cfg, seed)
+    net, X, yt, rng = _new_net(MlpNet, X, y, cfg, seed)
+    for _ in _epochs(net, X, yt, cfg.epochs, rng):
+        pass
+    return net
 
 
 def train_attention_mlp(X, y, cfg: MlpConfig, seed: int) -> AttentionMlpNet:
-    return _train_fixed_epochs(AttentionMlpNet, X, y, cfg, seed)
-
-
-def _train_fixed_epochs(net_cls, X, y, cfg: MlpConfig, seed: int):
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    rng = np.random.default_rng(seed)
-    net = net_cls(X.shape[1], cfg, rng)
-    net.target_scaler = TargetScaler.fit(y)
-    yt = net.target_scaler.forward(y)[:, None]
-    opt = Adam(net.parameters(), lr=cfg.learning_rate)
-    net.loss_curve = []
-    for epoch in range(cfg.epochs):
-        losses = []
-        for idx in _epoch_batches(len(y), cfg.batch_size, rng):
-            loss = net.loss(Tensor(X[idx]), yt[idx], True, rng)
-            if not np.isfinite(loss.data):
-                raise DivergenceError(epoch + 1)
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            losses.append(float(loss.data))
-        net.loss_curve.append(float(np.mean(losses)))
+    net, X, yt, rng = _new_net(AttentionMlpNet, X, y, cfg, seed)
+    for _ in _epochs(net, X, yt, cfg.epochs, rng):
+        pass
     return net
 
 
 def train_tabnet_lite(X, y, cfg: TabNetConfig, seed: int) -> TabNetLite:
     """Adam training with early stopping on a held-out validation fraction."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    rng = np.random.default_rng(seed)
-    net = TabNetLite(X.shape[1], cfg, rng)
-    net.target_scaler = TargetScaler.fit(y)
-    yt = net.target_scaler.forward(y)[:, None]
-
-    n = len(y)
+    net, X, yt, rng = _new_net(TabNetLite, X, y, cfg, seed)
+    n = len(yt)
     n_val = max(1, round(n * cfg.validation_fraction)) if n >= 4 else 0
     perm = rng.permutation(n)
     val_idx, train_idx = perm[:n_val], perm[n_val:]
-    Xtr, ytr = X[train_idx], yt[train_idx]
     Xval, yval = X[val_idx], yt[val_idx]
 
-    opt = Adam(net.parameters(), lr=cfg.learning_rate)
     best_val = np.inf
     best_state = None
     stale = 0
-    net.loss_curve = []
-    net.epochs_run = 0
-    for epoch in range(cfg.max_epochs):
-        losses = []
-        for idx in _epoch_batches(len(ytr), cfg.batch_size, rng):
-            loss = net.loss(Tensor(Xtr[idx]), ytr[idx], True)
-            if not np.isfinite(loss.data):
-                raise DivergenceError(epoch + 1)
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            losses.append(float(loss.data))
-        net.loss_curve.append(float(np.mean(losses)))
-        net.epochs_run = epoch + 1
-
+    for _ in _epochs(net, X[train_idx], yt[train_idx], cfg.max_epochs, rng):
         if n_val:
             val_pred = net.forward(Tensor(Xval), False).data
             val_mse = float(np.mean((val_pred - yval) ** 2))
@@ -404,6 +322,43 @@ def train_tabnet_lite(X, y, cfg: TabNetConfig, seed: int) -> TabNetLite:
     if best_state is not None:
         _restore(net, best_state)
     return net
+
+
+def _new_net(net_cls, X, y, cfg, seed: int):
+    """A freshly initialized net with its target scaler fit on ``y``; returns
+    (net, X as float64, standardized y as a column, the training rng)."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    net = net_cls(X.shape[1], cfg, rng)
+    net.target_scaler = TargetScaler.fit(y)
+    return net, X, net.target_scaler.forward(y)[:, None], rng
+
+
+def _epochs(net, X, yt, n_epochs: int, rng: np.random.Generator):
+    """Adam on shuffled mini-batches of ``net.cfg.batch_size`` rows, yielding
+    after each epoch so the caller can stop early by leaving its loop.
+
+    Records the mean batch loss of each epoch in ``net.loss_curve`` and the
+    epochs completed in ``net.epochs_run``. A non-finite batch loss raises
+    ``DivergenceError`` naming the 1-based epoch.
+    """
+    opt = Adam(net.parameters(), lr=net.cfg.learning_rate)
+    net.loss_curve = []
+    net.epochs_run = 0
+    for epoch in range(n_epochs):
+        losses = []
+        for idx in _epoch_batches(len(yt), net.cfg.batch_size, rng):
+            loss = net.loss(Tensor(X[idx]), yt[idx], True, rng)
+            if not np.isfinite(loss.data):
+                raise DivergenceError(epoch + 1)
+            opt.zero_grad()
+            loss.backward()
+            opt.step()
+            losses.append(float(loss.data))
+        net.loss_curve.append(float(np.mean(losses)))
+        net.epochs_run = epoch + 1
+        yield
 
 
 def _snapshot(net) -> dict:

@@ -73,6 +73,10 @@ class SplitSpec:
             raise InvalidArgumentError("test_fraction must be in (0,1)")
         if self.mode not in ("grouped_by_session", "iid"):
             raise InvalidArgumentError(f"unknown split mode {self.mode!r}")
+        if self.seed < 0:
+            raise InvalidArgumentError(
+                f"split seed must be a non-negative integer, got {self.seed}"
+            )
 
 
 @dataclass

@@ -90,6 +90,18 @@ class TestCsv:
         assert loaded.schema == AUGMENTED_SCHEMA
         assert columns_equal(loaded, aug2700)
 
+    def test_lone_carriage_return_round_trips(self, tmp_path):
+        # Written unquoted, the "\r" split the record on reading (row 5: 2 cells).
+        base = generate_base_dataset(5, seed=0)
+        labels = base.column("content_type").tolist()
+        labels[4] = "cr\rhere"
+        ds = Dataset(BASE_SCHEMA, {**base.columns, "content_type": labels})
+        write_csv(ds, tmp_path / "cr.csv")
+        loaded = read_csv(tmp_path / "cr.csv")
+        assert loaded.column("content_type").tolist() == labels
+        assert columns_equal(loaded, ds)
+        assert dataset_hash(loaded) == dataset_hash(ds)
+
     def test_header_mismatch(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("session_id,foo\n1,2\n")
@@ -333,10 +345,11 @@ class TestPinnedBytes:
         write_csv(loaded, p2)
         assert _sha256(p2) == pinned
 
-    def test_carriage_return_written_unquoted(self, tmp_path):
-        # The csv module (lineterminator "\n") leaves a lone "\r" unquoted; the
-        # bytes stay those of the row-based writer.
+    def test_carriage_return_written_quoted(self, tmp_path):
+        # A cell holding a lone "\r" is quoted like one holding "\n"; the
+        # other cells keep the bytes of the row-based writer.
         ds = self._odd_labels(["a,b", 'say "hi"', "line\nbreak", "", "cr\rhere"])
         write_csv(ds, tmp_path / "a.csv")
+        assert b'\n4,"cr\rhere",desktop,' in (tmp_path / "a.csv").read_bytes()
         assert _sha256(tmp_path / "a.csv") == (
-            "2e4ec6fafa044e2e728b6560664fc6851f05a79aba2299ab9e368f840b29330c")
+            "af07f29836b6e40eb54cf82131e06bcf28f6444ea98d297e02db9584291cfc1b")

@@ -1,5 +1,7 @@
 """Autodiff primitives, layers, and the three deep regressors."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -278,6 +280,33 @@ class TestTraining:
                         batch_size=32, epochs=5)
         with pytest.raises(DivergenceError):
             train_mlp(X, y, cfg, seed=0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_tabnet_divergence_detected(self):
+        X, y = tiny_regression()
+        cfg = TabNetConfig(step_dim=8, batch_size=32, virtual_batch=16, max_epochs=5,
+                           learning_rate=1e160)
+        with pytest.raises(DivergenceError):
+            train_tabnet_lite(X, y, cfg, seed=0)
+
+    def test_tabnet_patience_stops_early_and_restores_best(self):
+        X, y = tiny_regression(n=128)
+        cfg = TabNetConfig(step_dim=8, batch_size=32, virtual_batch=16, max_epochs=60,
+                           patience=2, learning_rate=0.2)
+        net = train_tabnet_lite(X, y, cfg, seed=2)
+        assert 2 < net.epochs_run < cfg.max_epochs
+        assert len(net.loss_curve) == net.epochs_run
+        # Stopped `patience` epochs after the best one, whose weights it keeps:
+        # a run cut at the best epoch ends with the same net.
+        best = replace(cfg, max_epochs=net.epochs_run - cfg.patience)
+        np.testing.assert_array_equal(net.predict(X),
+                                      train_tabnet_lite(X, y, best, seed=2).predict(X))
+
+    def test_fixed_epoch_training_records_every_epoch(self):
+        X, y = tiny_regression()
+        for train in (train_mlp, train_attention_mlp):
+            net = train(X, y, SMALL_MLP, seed=1)
+            assert net.epochs_run == len(net.loss_curve) == SMALL_MLP.epochs
 
     def test_target_scale_invariance_of_training(self):
         # Internally standardized targets: training on MOS-scale values works

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from qoe_forge import data_model
+from qoe_forge import cli, data_model
 from qoe_forge.cli import main
 from qoe_forge.data_model import read_csv
 from qoe_forge.model_io import load_model
@@ -407,3 +407,67 @@ class TestCli:
             ["augment", "--in", str(missing), "--out", str(tmp_path / "y.csv")]
         ) == 2
         capsys.readouterr()
+
+
+class TestSeeds:
+    @pytest.mark.parametrize("argv, config, env", [
+        (["generate", "--n", "5", "--seed", "-1", "--out", "{out}"], None, None),
+        (["split", "--in", "{base}", "--seed", "-1", "--out-train", "{out}",
+          "--out-test", "{out}2"], None, None),
+        (["compare", "--out", "{out}"], "dataset.seed = -1", None),
+        (["compare", "--out", "{out}"], "split.seed = -1", None),
+        (["generate", "--n", "5", "--out", "{out}"], None, "abc"),
+        (["augment", "--in", "{base}", "--out", "{out}"], None, "abc"),
+        (["compare", "--out", "{out}"], None, "abc"),
+    ], ids=["generate", "split", "dataset.seed", "split.seed", "env-generate",
+            "env-augment", "env-compare"])
+    def test_bad_seed_exits_1_without_traceback(self, tmp_path, capsys, monkeypatch,
+                                                argv, config, env):
+        base, cfg, out = tmp_path / "b.csv", tmp_path / "c.cfg", tmp_path / "out"
+        assert main(["generate", "--n", "20", "--seed", "5", "--out", str(base)]) == 0
+        argv = [a.format(base=base, out=out) for a in argv]
+        if config is not None:
+            cfg.write_text(f"dataset.n = 20\n{config}\n")
+            argv += ["--config", str(cfg)]
+        if env is not None:
+            monkeypatch.setenv("QOE_FORGE_SEED", env)
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert ("QOE_FORGE_SEED" in err) == (env is not None)
+        assert not out.exists()
+
+    def test_negative_augment_and_run_seeds_still_work(self, tmp_path, capsys):
+        base, aug = tmp_path / "b.csv", tmp_path / "a.csv"
+        main(["generate", "--n", "20", "--seed", "5", "--out", str(base)])
+        assert main(["augment", "--in", str(base), "--seed", "-1", "--out", str(aug)]) == 0
+        assert main(["compare", "--seed", "-3", "--config", str(fast_config(tmp_path)),
+                     "--out", str(tmp_path / "out")]) == 0
+
+    def test_seed_falls_back_to_env_then_each_commands_default(self, tmp_path,
+                                                               monkeypatch, capsys):
+        seen = []
+
+        def spy(n, seed):
+            seen.append(seed)
+            return data_model.generate_base_dataset(n, 1)
+
+        monkeypatch.setattr(cli, "generate_base_dataset", spy)
+
+        def seed_of(argv):
+            args = cli.build_parser().parse_args(argv)
+            if args.command == "generate":
+                assert main(argv) == 0
+                return seen.pop()
+            return cli._experiment_config(args).seed
+
+        gen = ["generate", "--n", "3", "--out", str(tmp_path / "g.csv")]
+        cfg = str(fast_config(tmp_path))  # run.seed = 11
+        scatter = ["scatter", "--model", "knn", "--out", "s.csv"]
+        monkeypatch.delenv("QOE_FORGE_SEED", raising=False)
+        assert [seed_of(gen), seed_of(scatter), seed_of(scatter + ["--config", cfg])] == [
+            0, 42, 11]
+        monkeypatch.setenv("QOE_FORGE_SEED", "7")
+        assert [seed_of(gen), seed_of(scatter + ["--config", cfg])] == [7, 7]
+        assert seed_of(scatter + ["--config", cfg, "--seed", "9"]) == 9

@@ -55,6 +55,14 @@ class TestHandValues:
         assert srcc(y, -y) == pytest.approx(-1.0)
         assert plcc(y, -y) == pytest.approx(-1.0)
 
+    def test_plcc_of_near_constant_vector_on_an_offset(self):
+        # 3*a + 7 is [7 + 1 ulp, 7, 7]: one centering pass left a residual mean
+        # as large as the spread and gave -0.8165.
+        a = np.array([2.2e-16, 0.0, 0.0])
+        b = np.array([0.0, 1.0, 1.0])
+        assert plcc(3.0 * a + 7.0, b) == pytest.approx(-1.0, abs=1e-12)
+        assert plcc(a, b) == pytest.approx(-1.0, abs=1e-12)
+
     def test_srcc_closed_form_no_ties(self):
         a = np.array([10.0, 20.0, 30.0, 40.0])
         b = np.array([3.0, 1.0, 4.0, 2.0])
