@@ -3,7 +3,9 @@
 Supports exactly the primitive set the networks need: matmul, bias add,
 ReLU, sigmoid, elementwise multiply, dropout, batch normalization (handled
 in layers.py), sparsemax, MSE, and a mask-entropy regularizer. Graphs are
-built eagerly; ``backward`` walks a topological order.
+built eagerly. Each op is its forward value plus one vector-Jacobian product
+(VJP) per input, handed to ``node``, which records only the inputs that
+require grad; ``backward`` walks the recorded graph in topological order.
 """
 
 from __future__ import annotations
@@ -14,15 +16,18 @@ from ..errors import GraphShapeError
 
 
 class Tensor:
-    """A node in the computation graph holding a float64 array."""
+    """A node in the computation graph holding a float64 array.
 
-    __slots__ = ("data", "grad", "parents", "_backward", "requires_grad")
+    ``inputs`` holds (input tensor, VJP) pairs, one per input that requires
+    grad; a VJP maps this node's gradient to that input's share of it.
+    """
 
-    def __init__(self, data, parents=(), backward=None, requires_grad=False):
+    __slots__ = ("data", "grad", "inputs", "requires_grad")
+
+    def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        self.parents = parents
-        self._backward = backward
+        self.inputs = ()
         self.requires_grad = requires_grad
 
     @property
@@ -47,129 +52,79 @@ class Tensor:
         seen: set[int] = set()
         stack = [(self, False)]
         while stack:
-            node, processed = stack.pop()
+            t, processed = stack.pop()
             if processed:
-                topo.append(node)
+                topo.append(t)
                 continue
-            if id(node) in seen:
+            if id(t) in seen:
                 continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node.parents:
+            seen.add(id(t))
+            stack.append((t, True))
+            for p, _ in t.inputs:
                 stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None:
-                node._backward(node.grad)
+        for t in reversed(topo):
+            for p, vjp in t.inputs:
+                p._accumulate(vjp(t.grad))
 
 
-def _tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+def node(value, *inputs) -> Tensor:
+    """The tensor ``value`` computed from ``inputs``, (tensor, VJP) pairs.
+
+    Only inputs that require grad are kept, and the result requires grad
+    exactly when it keeps one, so a VJP never runs for a constant.
+    """
+    out = Tensor(value)
+    out.inputs = tuple((t, vjp) for t, vjp in inputs if t.requires_grad)
+    out.requires_grad = bool(out.inputs)
+    return out
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _tensor(a), _tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise GraphShapeError(f"matmul shapes incompatible: {a.shape} @ {b.shape}")
-    out = Tensor(a.data @ b.data, parents=(a, b))
-
-    def backward(g):
-        a._accumulate(g @ b.data.T)
-        b._accumulate(a.data.T @ g)
-
-    out._backward = backward
-    return out
+    return node(a.data @ b.data,
+                (a, lambda g: g @ b.data.T), (b, lambda g: a.data.T @ g))
 
 
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    x, b = _tensor(x), _tensor(b)
     if b.data.ndim != 1 or x.shape[1] != b.shape[0]:
         raise GraphShapeError(f"bias shape {b.shape} does not match input {x.shape}")
-    out = Tensor(x.data + b.data[None, :], parents=(x, b))
-
-    def backward(g):
-        x._accumulate(g)
-        b._accumulate(g.sum(axis=0))
-
-    out._backward = backward
-    return out
+    return node(x.data + b.data[None, :], (x, lambda g: g), (b, lambda g: g.sum(axis=0)))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _tensor(a), _tensor(b)
     if a.shape != b.shape:
         raise GraphShapeError(f"add shapes differ: {a.shape} vs {b.shape}")
-    out = Tensor(a.data + b.data, parents=(a, b))
-
-    def backward(g):
-        a._accumulate(g)
-        b._accumulate(g)
-
-    out._backward = backward
-    return out
+    return node(a.data + b.data, (a, lambda g: g), (b, lambda g: g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _tensor(a), _tensor(b)
     if a.shape != b.shape:
         raise GraphShapeError(f"mul shapes differ: {a.shape} vs {b.shape}")
-    out = Tensor(a.data * b.data, parents=(a, b))
-
-    def backward(g):
-        a._accumulate(g * b.data)
-        b._accumulate(g * a.data)
-
-    out._backward = backward
-    return out
+    return node(a.data * b.data, (a, lambda g: g * b.data), (b, lambda g: g * a.data))
 
 
 def scale(x: Tensor, c: float) -> Tensor:
-    x = _tensor(x)
-    out = Tensor(x.data * c, parents=(x,))
-
-    def backward(g):
-        x._accumulate(g * c)
-
-    out._backward = backward
-    return out
+    return node(x.data * c, (x, lambda g: g * c))
 
 
 def relu(x: Tensor) -> Tensor:
-    x = _tensor(x)
-    out = Tensor(np.maximum(x.data, 0.0), parents=(x,))
-
-    def backward(g):
-        x._accumulate(g * (x.data > 0.0))
-
-    out._backward = backward
-    return out
+    return node(np.maximum(x.data, 0.0), (x, lambda g: g * (x.data > 0.0)))
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    x = _tensor(x)
     s = 1.0 / (1.0 + np.exp(-x.data))
-    out = Tensor(s, parents=(x,))
-
-    def backward(g):
-        x._accumulate(g * s * (1.0 - s))
-
-    out._backward = backward
-    return out
+    return node(s, (x, lambda g: g * s * (1.0 - s)))
 
 
-def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool) -> Tensor:
-    """Inverted dropout; exact identity in eval mode."""
-    x = _tensor(x)
+def dropout(x: Tensor, p: float, rng: np.random.Generator | None,
+            training: bool) -> Tensor:
+    """Inverted dropout; exact identity in eval mode, where ``rng`` is unused."""
     if not training or p == 0.0:
         return x
     mask = (rng.random(x.shape) >= p) / (1.0 - p)
-    out = Tensor(x.data * mask, parents=(x,))
-
-    def backward(g):
-        x._accumulate(g * mask)
-
-    out._backward = backward
-    return out
+    return node(x.data * mask, (x, lambda g: g * mask))
 
 
 def sparsemax_projection(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -190,42 +145,28 @@ def sparsemax_projection(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def sparsemax(x: Tensor) -> Tensor:
     """Sparsemax activation; backward uses the support-restricted Jacobian."""
-    x = _tensor(x)
     p, support = sparsemax_projection(x.data)
-    out = Tensor(p, parents=(x,))
 
-    def backward(g):
+    def vjp(g):
         counts = support.sum(axis=1)
         mean_on_support = np.where(support, g, 0.0).sum(axis=1) / np.maximum(counts, 1)
-        x._accumulate(np.where(support, g - mean_on_support[:, None], 0.0))
+        return np.where(support, g - mean_on_support[:, None], 0.0)
 
-    out._backward = backward
-    return out
+    return node(p, (x, vjp))
 
 
 def mse(pred: Tensor, target: np.ndarray) -> Tensor:
-    pred = _tensor(pred)
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape:
         raise GraphShapeError(f"mse shapes differ: {pred.shape} vs {target.shape}")
     diff = pred.data - target
-    out = Tensor(np.mean(diff**2), parents=(pred,))
-
-    def backward(g):
-        pred._accumulate(g * 2.0 * diff / diff.size)
-
-    out._backward = backward
-    return out
+    return node(np.mean(diff**2), (pred, lambda g: g * 2.0 * diff / diff.size))
 
 
 def mask_entropy(m: Tensor, eps: float = 1e-10) -> Tensor:
     """Mean over rows of the entropy -sum(m * log(m + eps)) of mask rows."""
-    m = _tensor(m)
     n = m.shape[0]
-    out = Tensor(np.mean(-np.sum(m.data * np.log(m.data + eps), axis=1)), parents=(m,))
-
-    def backward(g):
-        m._accumulate(g * (-(np.log(m.data + eps) + m.data / (m.data + eps))) / n)
-
-    out._backward = backward
-    return out
+    return node(
+        np.mean(-np.sum(m.data * np.log(m.data + eps), axis=1)),
+        (m, lambda g: g * (-(np.log(m.data + eps) + m.data / (m.data + eps))) / n),
+    )

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, add_bias, matmul
+from .autodiff import Tensor, add_bias, matmul, node
 
 
 class Linear:
@@ -27,9 +27,9 @@ class GhostBatchNorm:
 
     Training statistics are computed per virtual batch of ``virtual_batch``
     rows; a trailing chunk of fewer than 2 rows is merged into its
-    predecessor (whole-batch statistics when there is none). Inference and
-    ``frozen`` mode normalize with the running averages, which makes the op
-    a plain affine map (used for gradient checking).
+    predecessor (whole-batch statistics when there is none). Inference
+    normalizes with the running averages, which makes the op a plain affine
+    map (used for gradient checking).
     """
 
     def __init__(self, dim: int, virtual_batch: int = 128, momentum: float = 0.1,
@@ -41,7 +41,6 @@ class GhostBatchNorm:
         self.virtual_batch = virtual_batch
         self.momentum = momentum
         self.eps = eps
-        self.frozen = False
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         return [("gamma", self.gamma), ("beta", self.beta)]
@@ -58,18 +57,13 @@ class GhostBatchNorm:
     def __call__(self, x: Tensor, training: bool) -> Tensor:
         gamma, beta, eps = self.gamma, self.beta, self.eps
 
-        if not training or self.frozen:
+        if not training:
             inv = 1.0 / np.sqrt(self.running_var + eps)
             xhat = (x.data - self.running_mean) * inv
-            out = Tensor(xhat * gamma.data + beta.data, parents=(x, gamma, beta))
-
-            def backward_frozen(g):
-                x._accumulate(g * gamma.data * inv)
-                gamma._accumulate((g * xhat).sum(axis=0))
-                beta._accumulate(g.sum(axis=0))
-
-            out._backward = backward_frozen
-            return out
+            return node(xhat * gamma.data + beta.data,
+                        (x, lambda g: g * gamma.data * inv),
+                        (gamma, lambda g: (g * xhat).sum(axis=0)),
+                        (beta, lambda g: g.sum(axis=0)))
 
         n = x.shape[0]
         chunks = self._chunks(n)
@@ -90,17 +84,11 @@ class GhostBatchNorm:
                 (1.0 - self.momentum) * self.running_var + self.momentum * var
             )
 
-        out = Tensor(out_data, parents=(x, gamma, beta))
-
-        def backward_train(g):
+        def vjp_x(g):
             gx = np.empty_like(g)
-            dgamma = np.zeros_like(gamma.data)
-            dbeta = np.zeros_like(beta.data)
             for sl, xhat, inv in stats:
                 gc = g[sl]
                 m = gc.shape[0]
-                dgamma += (gc * xhat).sum(axis=0)
-                dbeta += gc.sum(axis=0)
                 dxhat = gc * gamma.data
                 gx[sl] = (
                     inv
@@ -111,22 +99,21 @@ class GhostBatchNorm:
                         - xhat * (dxhat * xhat).sum(axis=0)
                     )
                 )
-            x._accumulate(gx)
-            gamma._accumulate(dgamma)
-            beta._accumulate(dbeta)
+            return gx
 
-        out._backward = backward_train
-        return out
+        def vjp_gamma(g):
+            dgamma = np.zeros_like(gamma.data)
+            for sl, xhat, _ in stats:
+                dgamma += (g[sl] * xhat).sum(axis=0)
+            return dgamma
 
-    def state(self) -> dict:
-        return {
-            "running_mean": self.running_mean.tolist(),
-            "running_var": self.running_var.tolist(),
-        }
+        def vjp_beta(g):
+            dbeta = np.zeros_like(beta.data)
+            for sl, _, _ in stats:
+                dbeta += g[sl].sum(axis=0)
+            return dbeta
 
-    def load_state(self, state: dict) -> None:
-        self.running_mean = np.asarray(state["running_mean"], dtype=np.float64)
-        self.running_var = np.asarray(state["running_var"], dtype=np.float64)
+        return node(out_data, (x, vjp_x), (gamma, vjp_gamma), (beta, vjp_beta))
 
 
 class Adam:

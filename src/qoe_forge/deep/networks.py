@@ -8,7 +8,7 @@ seed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -122,6 +122,48 @@ class Network:
             if isinstance(layer, GhostBatchNorm)
         ]
 
+    def state(self) -> dict:
+        """The trained state as plain JSON values: every parameter by saved
+        name, each norm layer's running statistics by block, and the target
+        scaler. Float lists round-trip float64 exactly."""
+        return {
+            "params": {
+                name: {"shape": list(p.data.shape), "data": p.data.reshape(-1).tolist()}
+                for name, p in self.param_entries()
+            },
+            "norm": {
+                name: {"running_mean": bn.running_mean.tolist(),
+                       "running_var": bn.running_var.tolist()}
+                for name, bn in self.norm_layers()
+            },
+            "target_scaler": asdict(self.target_scaler),
+        }
+
+    def load_state(self, state: dict) -> None:
+        """Restore what ``state`` returned; every array keeps its shape."""
+        for name, p in self.param_entries():
+            entry = state["params"][name]
+            data = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
+            p.data = _same_shape(name, data, p.data)
+        for name, bn in self.norm_layers():
+            norm = state["norm"][name]
+            bn.running_mean = _same_shape(f"{name}.running_mean", norm["running_mean"],
+                                          bn.running_mean)
+            bn.running_var = _same_shape(f"{name}.running_var", norm["running_var"],
+                                         bn.running_var)
+        scaler = state["target_scaler"]
+        self.target_scaler = TargetScaler(float(scaler["mean"]), float(scaler["std"]))
+
+
+def _same_shape(name: str, values, like: np.ndarray) -> np.ndarray:
+    """``values`` as a float64 array, which must have the shape of ``like``."""
+    out = np.asarray(values, dtype=np.float64)
+    if out.shape != like.shape:
+        raise InvalidArgumentError(
+            f"state entry {name} has shape {out.shape}, expected {like.shape}"
+        )
+    return out
+
 
 class MlpNet(Network):
     """Plain fully connected regressor: hidden ReLU/dropout stack + linear head."""
@@ -147,7 +189,7 @@ class MlpNet(Network):
         return mse(self.forward(x, training, rng), y)
 
     def predict(self, X) -> np.ndarray:
-        out = self.forward(Tensor(np.asarray(X, dtype=np.float64)), False, _NULL_RNG)
+        out = self.forward(Tensor(np.asarray(X, dtype=np.float64)), False, None)
         return self.target_scaler.inverse(out.data[:, 0])
 
 
@@ -206,10 +248,6 @@ class TabNetLite(Network):
         self.head = Linear(k, 1, rng)
         self.blocks["head"] = (self.head,)
         self.target_scaler = TargetScaler()  # set by training or loading
-
-    def set_frozen_norm(self, frozen: bool) -> None:
-        for _, bn in self.norm_layers():
-            bn.frozen = frozen
 
     def _steps(self, x: Tensor, training: bool):
         n, d = x.shape
@@ -270,9 +308,6 @@ class TabNetLite(Network):
         return agg / total if total > 0 else np.full(x.shape[1], 1.0 / x.shape[1])
 
 
-_NULL_RNG = np.random.default_rng(0)  # never consulted: dropout off in eval
-
-
 def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
     perm = rng.permutation(n)
     for start in range(0, n, batch_size):
@@ -313,14 +348,14 @@ def train_tabnet_lite(X, y, cfg: TabNetConfig, seed: int) -> TabNetLite:
             val_mse = net.loss_curve[-1]
         if val_mse < best_val:
             best_val = val_mse
-            best_state = _snapshot(net)
+            best_state = net.state()
             stale = 0
         else:
             stale += 1
             if stale >= cfg.patience:
                 break
     if best_state is not None:
-        _restore(net, best_state)
+        net.load_state(best_state)
     return net
 
 
@@ -360,18 +395,3 @@ def _epochs(net, X, yt, n_epochs: int, rng: np.random.Generator):
         net.epochs_run = epoch + 1
         yield
 
-
-def _snapshot(net) -> dict:
-    return {
-        "params": [p.data.copy() for p in net.parameters()],
-        "norm": [(bn.running_mean.copy(), bn.running_var.copy())
-                 for _, bn in net.norm_layers()],
-    }
-
-
-def _restore(net, state: dict) -> None:
-    for p, data in zip(net.parameters(), state["params"]):
-        p.data = data.copy()
-    for (_, bn), (mean, var) in zip(net.norm_layers(), state["norm"]):
-        bn.running_mean = mean.copy()
-        bn.running_var = var.copy()

@@ -20,7 +20,6 @@ from .deep.networks import (
     MlpNet,
     TabNetConfig,
     TabNetLite,
-    TargetScaler,
     train_attention_mlp,
     train_mlp,
     train_tabnet_lite,
@@ -92,27 +91,6 @@ def train_model(kind: str, X, y, params: dict | None = None, seed: int = 0):
     return spec.fit(X, y, **params)
 
 
-def _net_state(net) -> dict:
-    return {
-        "params": {
-            name: {"shape": list(p.data.shape), "data": p.data.reshape(-1).tolist()}
-            for name, p in net.param_entries()
-        },
-        "norm": {name: bn.state() for name, bn in net.norm_layers()},
-        "target_scaler": dataclasses.asdict(net.target_scaler),
-    }
-
-
-def _load_net_state(net, state: dict) -> None:
-    for name, p in net.param_entries():
-        entry = state["params"][name]
-        p.data = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-    for name, bn in net.norm_layers():
-        bn.load_state(state["norm"][name])
-    scaler = state["target_scaler"]
-    net.target_scaler = TargetScaler(float(scaler["mean"]), float(scaler["std"]))
-
-
 def model_to_doc(kind: str, model, preprocessor: FittedPreprocessor | None = None) -> dict:
     spec = _spec(kind)
     doc: dict = {"schema_version": SCHEMA_VERSION, "kind": kind}
@@ -121,7 +99,7 @@ def model_to_doc(kind: str, model, preprocessor: FittedPreprocessor | None = Non
     else:
         doc["config"] = dataclasses.asdict(model.cfg)
         doc["n_features"] = model.n_features
-        doc["state"] = _net_state(model)
+        doc["state"] = model.state()
     if preprocessor is not None:
         doc["preprocessor"] = preprocessor.to_doc()
     return doc
@@ -144,7 +122,7 @@ def model_from_doc(doc) -> tuple:
             cfg = spec.config(**model_params(kind, doc["config"]))
             rng = np.random.default_rng(0)  # init is overwritten below
             model = spec.model(int(doc["n_features"]), cfg, rng)
-            _load_net_state(model, doc["state"])
+            model.load_state(doc["state"])
         pre = (
             FittedPreprocessor.from_doc(doc["preprocessor"])
             if "preprocessor" in doc
@@ -156,13 +134,19 @@ def model_from_doc(doc) -> tuple:
         raise InvalidArgumentError(f"{kind} model document has no field {exc}") from None
     except (TypeError, ValueError, AttributeError) as exc:
         raise InvalidArgumentError(f"malformed {kind} model document: {exc}") from None
+    except RecursionError:
+        raise InvalidArgumentError(f"{kind} model document is nested too deeply") from None
     return kind, model, pre
 
 
 def save_model(path, kind: str, model, preprocessor=None) -> None:
+    """Write the model document; a tree too deep to encode writes nothing."""
+    try:
+        text = json.dumps(model_to_doc(kind, model, preprocessor), sort_keys=True)
+    except RecursionError:
+        raise QoeForgeError(f"{kind} model is too deep to save as a JSON document") from None
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_doc(kind, model, preprocessor), fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_model(path):
@@ -171,4 +155,6 @@ def load_model(path):
             doc = json.load(fh)
         except ValueError as exc:  # not JSON, or not UTF-8
             raise InvalidArgumentError(f"{path}: not a JSON model document: {exc}") from None
+        except RecursionError:
+            raise InvalidArgumentError(f"{path}: model document is nested too deeply") from None
     return model_from_doc(doc)

@@ -171,10 +171,10 @@ def test_criterion_07_gradient_checks():
 
     tcfg = TabNetConfig(step_dim=8, virtual_batch=16, batch_size=16)
     tab = TabNetLite(8, tcfg, np.random.default_rng(100))
-    tab.set_frozen_norm(True)  # norm statistics frozen for the check
-    tab.loss(Tensor(X), y, True).backward()
+    # Inference mode: the norms use their running statistics, fixed for the check.
+    tab.loss(Tensor(X), y, False).backward()
     for name, t in tab.param_entries():
-        numeric = _fd_grad(lambda: tab.loss(Tensor(X), y, True).data, t.data)
+        numeric = _fd_grad(lambda: tab.loss(Tensor(X), y, False).data, t.data)
         assert _max_rel_error(t.grad, numeric) < 1e-4, f"tabnet {name}"
     assert time.perf_counter() - start < 60.0
 

@@ -125,6 +125,37 @@ class TestAutodiffPrimitives:
         assert max_rel_error(m.grad, numeric) < 1e-6
 
 
+class TestGradientPruning:
+    def test_ops_on_constants_record_nothing(self):
+        rng = np.random.default_rng(9)
+        a, b = Tensor(rng.random((3, 3))), Tensor(rng.random((3, 3)))
+        outs = [matmul(a, b), add_bias(a, Tensor(np.ones(3))), add(a, b), mul(a, b),
+                scale(a, 2.0), relu(a), sigmoid(a), dropout(a, 0.5, rng, True),
+                sparsemax(a), mse(a, b.data), mask_entropy(a)]
+        for out in outs:
+            assert not out.requires_grad and out.inputs == ()
+        # Mixed inputs: only the one that asks is recorded.
+        w = Tensor(rng.random((3, 3)), requires_grad=True)
+        out = matmul(a, w)
+        assert out.requires_grad and [t for t, _ in out.inputs] == [w]
+        mse(out, b.data).backward()
+        assert a.grad is None and w.grad is not None
+
+    @pytest.mark.parametrize("net_cls, cfg", [
+        (MlpNet, MlpConfig(hidden=(8,), attention_hidden=8, batch_size=16)),
+        (AttentionMlpNet, MlpConfig(hidden=(8,), attention_hidden=8, batch_size=16)),
+        (TabNetLite, TabNetConfig(step_dim=8, batch_size=16, virtual_batch=8)),
+    ])
+    def test_only_parameters_receive_gradients(self, net_cls, cfg):
+        X, y = tiny_regression(n=16)
+        net = net_cls(4, cfg, np.random.default_rng(0))
+        x = Tensor(X)
+        net.loss(x, y[:, None], True, np.random.default_rng(1)).backward()
+        assert x.grad is None
+        for name, p in net.param_entries():
+            assert p.grad is not None, name
+
+
 class TestSparsemax:
     def test_symmetric_input_uniform(self):
         p, support = sparsemax_projection(np.zeros((1, 5)))
@@ -175,14 +206,13 @@ class TestLayers:
         assert gbn._chunks(8) == [slice(0, 4), slice(4, 8)]
         assert gbn._chunks(3) == [slice(0, 3)]
 
-    def test_gbn_running_stats_and_frozen(self):
+    def test_gbn_running_stats_and_inference(self):
         rng = np.random.default_rng(7)
         gbn = GhostBatchNorm(2, virtual_batch=8, momentum=0.5)
         x = rng.normal(loc=2.0, size=(8, 2))
         gbn(Tensor(x), training=True)
         np.testing.assert_allclose(gbn.running_mean, 0.5 * x.mean(axis=0), atol=1e-12)
-        gbn.frozen = True
-        out = gbn(Tensor(x), training=True).data
+        out = gbn(Tensor(x), training=False).data
         expected = (x - gbn.running_mean) / np.sqrt(gbn.running_var + gbn.eps)
         np.testing.assert_allclose(out, expected, atol=1e-12)
 

@@ -1,5 +1,6 @@
 """The model registry, param checking, and versioned model documents."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -118,6 +119,35 @@ def test_schema_v1_documents_reload_byte_identical():
         assert json.dumps(again, sort_keys=True) == json.dumps(doc, sort_keys=True), kind
         X = np.zeros((2, doc.get("n_features", 12)))
         assert np.isfinite(model.predict(X)).all()
+
+
+# sha256 of the save_model bytes of each network fit on small_problem() with
+# these params. Dropout is on, and tabnet stops early (5 of 40 epochs), so its
+# document holds the weights restored from its best epoch. Training
+# arithmetic and the state format must keep these documents byte for byte.
+NET_PIN_PARAMS = {
+    "mlp": {"hidden": (8,), "batch_size": 32, "epochs": 3},
+    "attention_mlp": {"hidden": (8,), "attention_hidden": 8, "batch_size": 32, "epochs": 3},
+    "tabnet": {"step_dim": 8, "batch_size": 32, "virtual_batch": 16, "max_epochs": 40,
+               "patience": 2, "learning_rate": 0.2},
+}
+NET_DOC_DIGESTS = {
+    "mlp": "abeffb65a60a7810c87a78740895dcb0f1b95b82e20f4872e0b209dd9cf3a7f9",
+    "attention_mlp": "128ea06f6a8250bd9b4ed72bbfee339a3d4e773a1318b6c2306811e0dbb0bd70",
+    "tabnet": "a43c93d32e6c859668e6c2e6033056f1c14c8234543006d90c86e84778e4df86",
+}
+
+
+def test_network_documents_are_pinned(tmp_path):
+    X, y = small_problem()
+    digests = {}
+    for kind, params in NET_PIN_PARAMS.items():
+        model = train_model(kind, X, y, params, seed=7)
+        path = tmp_path / f"{kind}.json"
+        save_model(path, kind, model)
+        digests[kind] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert model.epochs_run < NET_PIN_PARAMS["tabnet"]["max_epochs"]
+    assert digests == NET_DOC_DIGESTS
 
 
 class TestRegistry:
@@ -240,3 +270,48 @@ def test_non_utf8_model_file_is_a_domain_error(tmp_path):
     path.write_bytes(b"\xff\xfe{}")
     with pytest.raises(InvalidArgumentError, match="not a JSON model document"):
         load_model(path)
+
+
+@pytest.mark.parametrize("entry, value", [
+    (("norm", "attentive0", "running_mean"), [0.0, 0.0]),
+    (("params", "head.W", "shape"), [1, 8]),
+])
+def test_network_state_of_the_wrong_shape_is_a_domain_error(entry, value):
+    X, y = small_problem()
+    doc = model_to_doc("tabnet", train_model("tabnet", X, y, FAST_PARAMS["tabnet"], seed=0))
+    *path, key = entry
+    target = doc["state"]
+    for part in path:
+        target = target[part]
+    target[key] = value
+    with pytest.raises(InvalidArgumentError, match="has shape"):
+        model_from_doc(doc)
+
+
+def test_deeply_nested_model_file_is_a_domain_error(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text("[" * 100000 + "]" * 100000 + "\n")
+    with pytest.raises(InvalidArgumentError, match="nested too deeply"):
+        load_model(path)
+
+
+def test_deeply_nested_model_document_is_a_domain_error():
+    # Built bottom-up: a chain of 5000 splits, deeper than the decoder recurses.
+    root = {"value": 0.0}
+    for _ in range(5000):
+        root = {"feature": 0, "threshold": 0.5, "left": root, "right": {"value": 1.0}}
+    doc = {"schema_version": SCHEMA_VERSION, "kind": "decision_tree",
+           "state": {"root": root, "max_depth": None, "min_samples_leaf": 1}}
+    with pytest.raises(InvalidArgumentError, match="nested too deeply"):
+        model_from_doc(doc)
+
+
+def test_tree_too_deep_to_save_is_a_domain_error_and_writes_nothing(tmp_path):
+    # Doubling targets make every split peel off one row: a 2700-deep chain.
+    X = np.arange(3000.0)[:, None]
+    y = 2.0 ** (np.arange(3000) - 2950)
+    model = classical.fit_tree(X, y, max_depth=None, min_samples_leaf=1)
+    path = tmp_path / "m.json"
+    with pytest.raises(QoeForgeError, match="too deep to save"):
+        save_model(path, "decision_tree", model)
+    assert not path.exists()
