@@ -42,6 +42,9 @@ class LinearModel:
     def predict(self, X) -> np.ndarray:
         return _as_matrix(X) @ self.coef + self.intercept
 
+    def accepts_width(self, width: int) -> bool:
+        return self.coef.shape == (width,)
+
     def to_doc(self) -> dict:
         return {"coef": self.coef.tolist(), "intercept": self.intercept}
 
@@ -205,6 +208,17 @@ class TreeModel:
                     stack.append((child, sub))
         return out
 
+    def accepts_width(self, width: int) -> bool:
+        """Every split reads a column below ``width``."""
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            if not node.is_leaf:
+                if not 0 <= node.feature < width:
+                    return False
+                stack += (node.left, node.right)
+        return True
+
     def to_doc(self) -> dict:
         return {
             "root": self.root.to_doc(),
@@ -259,6 +273,9 @@ class ForestModel:
     def predict(self, X) -> np.ndarray:
         X = _as_matrix(X)
         return np.mean([t.predict(X) for t in self.trees], axis=0)
+
+    def accepts_width(self, width: int) -> bool:
+        return all(t.accepts_width(width) for t in self.trees)
 
     def to_doc(self) -> dict:
         return {
@@ -332,6 +349,9 @@ class BoostedModel:
         for stage in self.stages:
             pred += self.learning_rate * stage.predict(X)
         return pred
+
+    def accepts_width(self, width: int) -> bool:
+        return all(s.accepts_width(width) for s in self.stages)
 
     def to_doc(self) -> dict:
         return {
@@ -408,6 +428,9 @@ class KnnModel:
             nearest = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
             out[start : start + len(Xq)] = np.mean(self.y_train[nearest], axis=1)
         return out
+
+    def accepts_width(self, width: int) -> bool:
+        return self.X_train.shape[1:] == (width,)
 
     def to_doc(self) -> dict:
         return {

@@ -132,7 +132,7 @@ def cmd_correlate(args) -> int:
     ds = read_csv(args.input)
     corr = write_correlation_csv(ds, args.feature, args.out)
     for profile, value in corr.items():
-        print(f"{profile}: {value:+.4f}")
+        print(f"{profile}: " + ("undefined" if value is None else f"{value:+.4f}"))
     return 0
 
 

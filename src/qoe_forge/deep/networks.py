@@ -103,6 +103,9 @@ class Network:
 
     blocks: dict[str, tuple]
 
+    def accepts_width(self, width: int) -> bool:
+        return self.n_features == width
+
     def param_entries(self) -> list[tuple[str, Tensor]]:
         return [
             (f"{name}.{pname}", p)

@@ -272,11 +272,12 @@ def run_scatter_export(cfg: ExperimentConfig, model_name: str, path) -> int:
     return len(y_true)
 
 
-def write_correlation_csv(dataset: Dataset, feature: str, path) -> dict[str, float]:
+def write_correlation_csv(dataset: Dataset, feature: str, path) -> dict[str, float | None]:
+    """An undefined correlation is an empty cell."""
     corr = correlation_by_demographic(dataset, feature)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["demographic", "feature", "plcc"])
         for profile, value in corr.items():
-            writer.writerow([profile, feature, repr(value)])
+            writer.writerow([profile, feature, "" if value is None else repr(value)])
     return corr

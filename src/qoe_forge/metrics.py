@@ -86,18 +86,16 @@ def plcc(a, b) -> float:
     return float(np.sum(da * db) / denom)
 
 
-def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties given the average of their rank range."""
+def _average_ranks(x: np.ndarray) -> tuple[np.ndarray, bool]:
+    """1-based ranks with ties given the average of their rank range, and
+    whether ``x`` has a tie: one stable sort, split into runs of equal values."""
     order = np.argsort(x, kind="stable")
+    xs = x[order]
+    first = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
+    last = np.append(first[1:], len(x)) - 1
     ranks = np.empty(len(x), dtype=np.float64)
-    i = 0
-    while i < len(x):
-        j = i
-        while j + 1 < len(x) and x[order[j + 1]] == x[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    ranks[order] = np.repeat(0.5 * (first + last) + 1.0, last - first + 1)
+    return ranks, len(first) < len(x)
 
 
 def srcc(a, b) -> float:
@@ -108,10 +106,9 @@ def srcc(a, b) -> float:
     a, b = _check_pair(a, b)
     if a.size < 2:
         raise InvalidArgumentError("srcc needs at least 2 points")
-    ra = _average_ranks(a)
-    rb = _average_ranks(b)
-    has_ties = len(set(a.tolist())) < a.size or len(set(b.tolist())) < b.size
-    if not has_ties:
+    ra, a_ties = _average_ranks(a)
+    rb, b_ties = _average_ranks(b)
+    if not (a_ties or b_ties):
         d = ra - rb
         n = a.size
         return float(1.0 - 6.0 * np.sum(d**2) / (n * (n**2 - 1)))
@@ -137,21 +134,24 @@ def metric_block(y, y_hat) -> MetricBlock:
     )
 
 
-def correlation_by_demographic(dataset: Dataset, feature: str) -> dict[str, float]:
-    """Per-profile PLCC between a numeric feature column and MOS."""
+def correlation_by_demographic(dataset: Dataset, feature: str) -> dict[str, float | None]:
+    """Per-profile PLCC between a numeric feature column and MOS; None where
+    it is undefined (the feature or MOS is constant within the profile)."""
     if not dataset.has_column("demographic"):
         raise SchemaMismatchError("dataset has no demographic column")
     if not dataset.has_column(feature):
         raise SchemaMismatchError(f"dataset has no column {feature!r}")
+    if dataset.column(feature).dtype == object:
+        raise SchemaMismatchError(f"column {feature!r} is not numeric")
     values = dataset.column(feature).astype(np.float64)
     mos = dataset.column("mos").astype(np.float64)
     labels = dataset.column("demographic")
-    out: dict[str, float] = {}
+    out: dict[str, float | None] = {}
     from .demographics import PROFILE_IDS
 
     for profile in PROFILE_IDS:
         mask = labels == profile
         if not mask.any():
             continue
-        out[profile] = plcc(values[mask], mos[mask])
+        out[profile] = _unless_undefined(plcc, values[mask], mos[mask])
     return out

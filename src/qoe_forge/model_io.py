@@ -123,11 +123,12 @@ def model_from_doc(doc) -> tuple:
             rng = np.random.default_rng(0)  # init is overwritten below
             model = spec.model(int(doc["n_features"]), cfg, rng)
             model.load_state(doc["state"])
-        pre = (
-            FittedPreprocessor.from_doc(doc["preprocessor"])
-            if "preprocessor" in doc
-            else None
-        )
+        pre = None
+        if "preprocessor" in doc:
+            pre = FittedPreprocessor.from_doc(doc["preprocessor"])
+            width = len(pre.feature_columns)
+            if not model.accepts_width(width):
+                raise InvalidArgumentError(f"{kind} model does not read {width} feature columns")
     except QoeForgeError:
         raise
     except KeyError as exc:

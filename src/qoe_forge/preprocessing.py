@@ -1,65 +1,15 @@
-"""Dataset -> design matrix: label encoding, standardization, leakage-safe splits."""
+"""Dataset -> design matrix through one train-fitted feature plan, and
+leakage-safe splits."""
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data_model import Dataset
 from .errors import InvalidArgumentError, SchemaMismatchError
-
-
-@dataclass
-class ColumnEncoder:
-    """Label -> dense 0-based code, assigned in first-appearance order."""
-
-    column: str
-    mapping: dict[str, int] = field(default_factory=dict)
-
-    def fit(self, labels) -> "ColumnEncoder":
-        for lab in dict.fromkeys(np.asarray(labels, dtype=object).tolist()):
-            self.mapping.setdefault(lab, len(self.mapping))
-        return self
-
-    def encode(self, labels) -> np.ndarray:
-        # Unseen labels get the reserved overflow code (max + 1). A dict lookup
-        # per label beats np.unique here: that sorts str objects one Python
-        # comparison at a time.
-        labels = np.asarray(labels, dtype=object).tolist()
-        overflow = len(self.mapping)
-        unseen = set(labels).difference(self.mapping)
-        if unseen:
-            warnings.warn(
-                f"column {self.column!r}: unseen labels {sorted(unseen)} "
-                f"mapped to overflow code {overflow}"
-            )
-        lookup = self.mapping.get
-        return np.array([lookup(lab, overflow) for lab in labels], dtype=np.float64)
-
-
-@dataclass
-class StandardScaler:
-    """Per-column population mean/std fitted on the training split."""
-
-    columns: list[str] = field(default_factory=list)
-    mean: dict[str, float] = field(default_factory=dict)
-    std: dict[str, float] = field(default_factory=dict)
-
-    def fit(self, name: str, values: np.ndarray) -> bool:
-        mu = float(np.mean(values))
-        sigma = float(np.std(values))  # population sigma
-        if sigma == 0.0:
-            warnings.warn(f"column {name!r} is constant on the training split; dropped")
-            return False
-        self.columns.append(name)
-        self.mean[name] = mu
-        self.std[name] = sigma
-        return True
-
-    def transform(self, name: str, values: np.ndarray) -> np.ndarray:
-        return (values - self.mean[name]) / self.std[name]
 
 
 @dataclass(frozen=True)
@@ -79,42 +29,84 @@ class SplitSpec:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class FittedPreprocessor:
-    """Train-fitted encoders/scaler plus the resulting feature column order."""
+    """The feature plan fitted on a training split.
+
+    ``feature_columns`` is the design-matrix column order. A categorical
+    feature has a label -> code mapping in ``encoders``, codes in
+    first-appearance order; a numeric one has a population ``mean`` and
+    ``std``. Building a plan checks that every feature has exactly one of the
+    two and that no mapping or statistic names another column.
+    """
 
     feature_columns: list[str]
-    encoders: dict[str, ColumnEncoder]
-    scaler: StandardScaler
+    encoders: dict[str, dict[str, int]]
+    mean: dict[str, float]
+    std: dict[str, float]
     target_column: str
 
+    def __post_init__(self):
+        for name in self.feature_columns:
+            has = (name in self.encoders, name in self.mean, name in self.std)
+            if has not in ((True, False, False), (False, True, True)):
+                raise InvalidArgumentError(
+                    f"feature column {name!r} needs either a label mapping or a mean and std")
+        stray = {*self.encoders, *self.mean, *self.std}.difference(self.feature_columns)
+        if stray:
+            raise InvalidArgumentError(f"encodings of non-feature columns {sorted(stray)}")
+
+    @classmethod
+    def fit(cls, train: Dataset, exclude: tuple[str, ...] = ()) -> "FittedPreprocessor":
+        """Plan the features of ``train``, leaving out meta and group columns
+        and ``exclude``. A constant numeric column is dropped with a warning."""
+        if len(train) == 0:
+            raise InvalidArgumentError("training dataset is empty")
+        features, encoders, mean, std, target = [], {}, {}, {}, ""
+        for col in train.schema:
+            if col.kind in ("meta", "group") or col.name in exclude:
+                continue
+            if col.kind == "target":
+                target = col.name
+                continue
+            values = train.column(col.name)
+            if col.kind == "categorical":
+                labels = dict.fromkeys(values.tolist())
+                encoders[col.name] = {lab: code for code, lab in enumerate(labels)}
+            else:
+                values = values.astype(np.float64)
+                sigma = float(np.std(values))  # population sigma
+                if sigma == 0.0:
+                    warnings.warn(
+                        f"column {col.name!r} is constant on the training split; dropped")
+                    continue
+                mean[col.name] = float(np.mean(values))
+                std[col.name] = sigma
+            features.append(col.name)
+        return cls(features, encoders, mean, std, target)
+
     def to_doc(self) -> dict:
+        """The plan as a JSON document; ``scaler.columns`` is derived from
+        the plan (the features that have a mean, in order) and not read back."""
         return {
             "feature_columns": list(self.feature_columns),
-            "encoders": {c: e.mapping for c, e in self.encoders.items()},
+            "encoders": dict(self.encoders),
             "scaler": {
-                "columns": list(self.scaler.columns),
-                "mean": dict(self.scaler.mean),
-                "std": dict(self.scaler.std),
+                "columns": [c for c in self.feature_columns if c in self.mean],
+                "mean": dict(self.mean),
+                "std": dict(self.std),
             },
             "target_column": self.target_column,
         }
 
     @classmethod
     def from_doc(cls, doc: dict) -> "FittedPreprocessor":
-        encoders = {
-            c: ColumnEncoder(c, {k: int(v) for k, v in m.items()})
-            for c, m in doc["encoders"].items()
-        }
-        scaler = StandardScaler(
-            columns=list(doc["scaler"]["columns"]),
-            mean={k: float(v) for k, v in doc["scaler"]["mean"].items()},
-            std={k: float(v) for k, v in doc["scaler"]["std"].items()},
-        )
+        scaler = doc["scaler"]
         return cls(
             feature_columns=list(doc["feature_columns"]),
-            encoders=encoders,
-            scaler=scaler,
+            encoders={c: {k: int(v) for k, v in m.items()} for c, m in doc["encoders"].items()},
+            mean={k: float(v) for k, v in scaler["mean"].items()},
+            std={k: float(v) for k, v in scaler["std"].items()},
             target_column=doc["target_column"],
         )
 
@@ -122,63 +114,46 @@ class FittedPreprocessor:
 def fit_transform(
     train: Dataset, exclude: tuple[str, ...] = ()
 ) -> tuple[np.ndarray, np.ndarray, FittedPreprocessor]:
-    """Fit encoders/scaler on ``train`` and return (X, y, fitted state).
-
-    Meta and group columns are excluded; categorical columns (including the
-    demographic label when present) are label-encoded; numeric columns are
-    standardized with population sigma. Constant numeric columns are dropped.
-    """
-    if len(train) == 0:
-        raise InvalidArgumentError("training dataset is empty")
-
-    encoders: dict[str, ColumnEncoder] = {}
-    scaler = StandardScaler()
-    feature_columns: list[str] = []
-    target_column = ""
-    matrix_cols: list[np.ndarray] = []
-
-    for col in train.schema:
-        if col.kind in ("meta", "group") or col.name in exclude:
-            continue
-        if col.kind == "target":
-            target_column = col.name
-            continue
-        values = train.column(col.name)
-        if col.kind == "categorical":
-            enc = ColumnEncoder(col.name).fit(values)
-            encoders[col.name] = enc
-            feature_columns.append(col.name)
-            matrix_cols.append(enc.encode(values))
-        else:
-            vals = values.astype(np.float64)
-            if scaler.fit(col.name, vals):
-                feature_columns.append(col.name)
-                matrix_cols.append(scaler.transform(col.name, vals))
-
-    fitted = FittedPreprocessor(feature_columns, encoders, scaler, target_column)
-    X = np.column_stack(matrix_cols)
-    y = train.column(target_column).astype(np.float64)
+    """Fit the feature plan on ``train`` and return (X, y, plan)."""
+    fitted = FittedPreprocessor.fit(train, exclude)
+    X, y = transform(train, fitted)
     return X, y, fitted
 
 
-def transform(
-    dataset: Dataset, fitted: FittedPreprocessor
-) -> tuple[np.ndarray, np.ndarray]:
-    """Apply train-fitted parameters; never refits."""
+def transform(dataset: Dataset, fitted: FittedPreprocessor) -> tuple[np.ndarray, np.ndarray]:
+    """Encode and scale ``dataset`` with the plan's train-fitted values."""
     names = set(dataset.column_names())
-    missing = [c for c in fitted.feature_columns if c not in names]
+    missing = [c for c in (*fitted.feature_columns, fitted.target_column) if c not in names]
     if missing:
-        raise SchemaMismatchError(f"dataset lacks fitted feature columns {missing}")
+        raise SchemaMismatchError(f"dataset lacks fitted columns {missing}")
     matrix_cols = []
     for name in fitted.feature_columns:
         values = dataset.column(name)
-        if name in fitted.encoders:
-            matrix_cols.append(fitted.encoders[name].encode(values))
-        else:
-            matrix_cols.append(fitted.scaler.transform(name, values.astype(np.float64)))
+        mapping = fitted.encoders.get(name)
+        if mapping is None:
+            values = values.astype(np.float64)
+            matrix_cols.append((values - fitted.mean[name]) / fitted.std[name])
+            continue
+        # Unseen labels get the reserved overflow code (max + 1). A dict lookup per
+        # label beats np.unique here: that sorts str objects one comparison at a time.
+        labels = values.tolist()
+        overflow = len(mapping)
+        unseen = set(labels).difference(mapping)
+        if unseen:
+            warnings.warn(
+                f"column {name!r}: unseen labels {sorted(unseen)} "
+                f"mapped to overflow code {overflow}"
+            )
+        codes = [mapping.get(lab, overflow) for lab in labels]
+        matrix_cols.append(np.array(codes, dtype=np.float64))
     X = np.column_stack(matrix_cols)
     y = dataset.column(fitted.target_column).astype(np.float64)
     return X, y
+
+
+def _group_column(dataset: Dataset) -> str:
+    """Augmented siblings share ``base_session_id``; base rows are their own group."""
+    return "base_session_id" if dataset.has_column("base_session_id") else "session_id"
 
 
 def split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
@@ -196,10 +171,7 @@ def split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
         test_idx = np.sort(perm[:n_test])
         train_idx = np.sort(perm[n_test:])
     else:
-        group_col = (
-            "base_session_id" if dataset.has_column("base_session_id") else "session_id"
-        )
-        groups = dataset.column(group_col)
+        groups = dataset.column(_group_column(dataset))
         # Not np.unique: its first call imports numpy.ma, about 20 ms per process.
         unique = np.array(sorted(set(groups.tolist())), dtype=groups.dtype)
         n_test_groups = round(len(unique) * spec.test_fraction)
@@ -215,5 +187,4 @@ def split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
 
 def held_out_group_ids(test: Dataset) -> list[int]:
     """Group ids in the test split, for the audit trail in reports."""
-    col = "base_session_id" if test.has_column("base_session_id") else "session_id"
-    return sorted(set(test.column(col).tolist()))
+    return sorted(set(test.column(_group_column(test)).tolist()))

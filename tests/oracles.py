@@ -101,3 +101,19 @@ def bisection_simplex_projection(z: np.ndarray, iters: int = 100) -> np.ndarray:
         else:
             hi = mid
     return np.maximum(z - 0.5 * (lo + hi), 0.0)
+
+
+def loop_average_ranks(x) -> np.ndarray:
+    """1-based ranks, ties given the average of their rank range, by walking
+    each run of equal values in stable sorted order."""
+    x = np.asarray(x, dtype=np.float64)
+    order = np.argsort(x, kind="stable")
+    ranks = np.empty(len(x), dtype=np.float64)
+    i = 0
+    while i < len(x):
+        j = i
+        while j + 1 < len(x) and x[order[j + 1]] == x[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks

@@ -387,6 +387,44 @@ class TestCli:
         lines = out.read_text().splitlines()
         assert len(lines) == 7  # header + six profiles
 
+    def test_correlate_categorical_feature_exits_1(self, tmp_path, capsys):
+        base, aug = tmp_path / "b.csv", tmp_path / "a.csv"
+        main(["generate", "--n", "20", "--seed", "5", "--out", str(base)])
+        main(["augment", "--in", str(base), "--seed", "1", "--out", str(aug)])
+        capsys.readouterr()
+        assert main(["correlate", "--in", str(aug), "--feature", "content_type",
+                     "--out", str(tmp_path / "c.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: column 'content_type' is not numeric")
+
+    def test_correlate_undefined_is_an_empty_cell(self, tmp_path, capsys):
+        # Two sessions without stalls: stall_count is constant in every profile.
+        base, aug = tmp_path / "b.csv", tmp_path / "a.csv"
+        main(["generate", "--n", "2", "--seed", "2", "--out", str(base)])
+        main(["augment", "--in", str(base), "--out", str(aug)])
+        capsys.readouterr()
+        out = tmp_path / "c.csv"
+        assert main(["correlate", "--in", str(aug), "--feature", "stall_count",
+                     "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 7
+        assert all(line.endswith(",stall_count,") for line in lines[1:])
+        printed = capsys.readouterr().out.splitlines()
+        assert len(printed) == 6 and all(p.endswith(": undefined") for p in printed)
+
+    def test_evaluate_inconsistent_preprocessor_exits_1(self, tmp_path, capsys):
+        base, model = tmp_path / "b.csv", tmp_path / "m.json"
+        main(["generate", "--n", "30", "--seed", "5", "--out", str(base)])
+        main(["train", "--in", str(base), "--model", "linear_regression",
+              "--out", str(model)])
+        doc = json.loads(model.read_text())
+        del doc["preprocessor"]["scaler"]["mean"]["duration_s"]
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["evaluate", "--model", str(model), "--in", str(base)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: feature column 'duration_s'")
+
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QOE_FORGE_SEED", "5")
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -23,6 +23,8 @@ from qoe_forge.metrics import (
     srcc,
 )
 
+from oracles import loop_average_ranks
+
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
 
@@ -77,9 +79,23 @@ class TestHandValues:
 
     def test_average_ranks(self):
         x = np.array([10.0, 20.0, 20.0, 30.0])
-        np.testing.assert_allclose(_average_ranks(x), scipy.stats.rankdata(x))
+        ranks, ties = _average_ranks(x)
+        np.testing.assert_allclose(ranks, scipy.stats.rankdata(x))
+        assert ties
         x = np.array([5.0, 5.0, 5.0])
-        np.testing.assert_allclose(_average_ranks(x), [2.0, 2.0, 2.0])
+        np.testing.assert_allclose(_average_ranks(x)[0], [2.0, 2.0, 2.0])
+        assert _average_ranks(np.array([3.0, 1.0, 2.0]))[1] is False
+
+    def test_average_ranks_match_the_loop_oracle(self):
+        # Continuous, rounded and few-level vectors: no ties, some, mostly ties.
+        rng = np.random.default_rng(8)
+        for trial in range(300):
+            n = int(rng.integers(1, 300))
+            x = rng.normal(size=n)
+            x = (x, np.round(x, 1), rng.integers(0, 5, size=n).astype(float))[trial % 3]
+            ranks, ties = _average_ranks(x)
+            assert ranks.tobytes() == loop_average_ranks(x).tobytes()
+            assert ties == (len(set(x.tolist())) < n)
 
 
 class TestScipyOracle:
@@ -219,3 +235,13 @@ class TestPerDemographic:
             correlation_by_demographic(base450, "stall_duration_s")
         with pytest.raises(SchemaMismatchError):
             correlation_by_demographic(base450, "nope")
+
+    def test_categorical_feature_is_a_schema_error(self, aug2700):
+        with pytest.raises(SchemaMismatchError, match="'content_type' is not numeric"):
+            correlation_by_demographic(aug2700, "content_type")
+
+    def test_undefined_correlation_is_none(self, aug2700):
+        # No stalls in these sessions: a constant feature within each profile.
+        calm = aug2700.subset(np.flatnonzero(aug2700.column("stall_count") == 0))
+        corr = correlation_by_demographic(calm, "stall_count")
+        assert len(corr) == 6 and set(corr.values()) == {None}

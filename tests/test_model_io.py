@@ -21,7 +21,7 @@ from qoe_forge.model_io import (
     save_model,
     train_model,
 )
-from qoe_forge.preprocessing import fit_transform
+from qoe_forge.preprocessing import SplitSpec, fit_transform, split
 
 FAST_PARAMS = {
     "random_forest": {"n_trees": 5},
@@ -148,6 +148,50 @@ def test_network_documents_are_pinned(tmp_path):
         digests[kind] = hashlib.sha256(path.read_bytes()).hexdigest()
     assert model.epochs_run < NET_PIN_PARAMS["tabnet"]["max_epochs"]
     assert digests == NET_DOC_DIGESTS
+
+
+# sha256 of the save_model bytes of a linear model with its embedded
+# preprocessor, fit on the augmented training split of the paper corpus. The
+# preprocessor document layout must stay byte for byte.
+PREPROCESSOR_DOC_DIGEST = "9cbf0895846dbae091177b0a43f54af5786ba575a3d3149298c6ddfeae1c1521"
+
+
+def test_preprocessor_document_is_pinned(aug2700, tmp_path):
+    train, _ = split(aug2700, SplitSpec())
+    X, y, fitted = fit_transform(train)
+    model = train_model("linear_regression", X, y, None, seed=0)
+    path = tmp_path / "m.json"
+    save_model(path, "linear_regression", model, fitted)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PREPROCESSOR_DOC_DIGEST
+
+
+def plan_doc(width: int) -> dict:
+    """A preprocessor document of ``width`` standardized features."""
+    names = [f"x{j}" for j in range(width)]
+    return {"feature_columns": names, "encoders": {},
+            "scaler": {"columns": names, "mean": dict.fromkeys(names, 0.0),
+                       "std": dict.fromkeys(names, 1.0)},
+            "target_column": "mos"}
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_model_and_preprocessor_widths_must_agree(kind):
+    # y follows the last of four features, so every tree kind splits on it.
+    X, _ = small_problem()
+    y = 50.0 + 8.0 * X[:, 3]
+    doc = model_to_doc(kind, train_model(kind, X, y, FAST_PARAMS.get(kind), seed=7))
+    model_from_doc({**doc, "preprocessor": plan_doc(4)})
+    with pytest.raises(InvalidArgumentError, match=f"{kind} model does not read 3 feature"):
+        model_from_doc({**doc, "preprocessor": plan_doc(3)})
+
+
+def test_tree_split_on_a_negative_feature_is_rejected():
+    root = {"feature": -1, "threshold": 0.0, "left": {"value": 0.0}, "right": {"value": 1.0}}
+    doc = {"schema_version": SCHEMA_VERSION, "kind": "decision_tree",
+           "state": {"root": root, "max_depth": None, "min_samples_leaf": 1},
+           "preprocessor": plan_doc(2)}
+    with pytest.raises(InvalidArgumentError, match="does not read 2 feature"):
+        model_from_doc(doc)
 
 
 class TestRegistry:

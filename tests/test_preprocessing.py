@@ -6,69 +6,123 @@ import pytest
 from qoe_forge.data_model import Dataset, generate_base_dataset
 from qoe_forge.errors import InvalidArgumentError, SchemaMismatchError
 from qoe_forge.preprocessing import (
-    ColumnEncoder,
     FittedPreprocessor,
     SplitSpec,
-    StandardScaler,
     fit_transform,
     split,
     held_out_group_ids,
     transform,
 )
 
-from conftest import columns_equal
+from conftest import columns_equal, random_sessions
+
+
+def sessions_with(**columns) -> Dataset:
+    """Random valid sessions, as many as the given column values, with those
+    columns set."""
+    n = len(next(iter(columns.values())))
+    ds = random_sessions(np.random.default_rng(0), n)
+    return Dataset(ds.schema, {**ds.columns, **columns})
+
+
+def feature(X, plan, name):
+    return X[:, plan.feature_columns.index(name)]
 
 
 class TestColumnEncoder:
+    """Label coding of categorical columns by the fitted plan."""
+
     def test_first_appearance_order(self):
-        enc = ColumnEncoder("device").fit(["tv", "phone", "tv", "laptop"])
-        assert enc.mapping == {"tv": 0, "phone": 1, "laptop": 2}
-        np.testing.assert_array_equal(
-            enc.encode(["laptop", "tv"]), np.array([2.0, 0.0])
-        )
+        plan = FittedPreprocessor.fit(sessions_with(device=["tv", "phone", "tv", "laptop"]))
+        assert plan.encoders["device"] == {"tv": 0, "phone": 1, "laptop": 2}
+        X, _ = transform(sessions_with(device=["laptop", "tv"]), plan)
+        np.testing.assert_array_equal(feature(X, plan, "device"), [2.0, 0.0])
 
     def test_unseen_label_overflow_with_warning(self):
-        enc = ColumnEncoder("device").fit(["tv", "phone"])
-        with pytest.warns(UserWarning, match="unseen"):
-            codes = enc.encode(["tablet", "tv"])
-        np.testing.assert_array_equal(codes, np.array([2.0, 0.0]))
+        plan = FittedPreprocessor.fit(sessions_with(device=["tv", "phone"]))
+        with pytest.warns(UserWarning, match=r"'device': unseen labels \['tablet'\] "
+                                             "mapped to overflow code 2"):
+            X, _ = transform(sessions_with(device=["tablet", "tv"]), plan)
+        np.testing.assert_array_equal(feature(X, plan, "device"), [2.0, 0.0])
 
     def test_matches_row_loop(self, aug2700):
         labels = aug2700.column("demographic")[::-7]
-        enc = ColumnEncoder("demographic").fit(labels)
+        plan = FittedPreprocessor.fit(aug2700.subset(np.arange(len(aug2700))[::-7]))
         mapping = {}
         for lab in labels.tolist():
             mapping.setdefault(lab, len(mapping))
-        assert list(enc.mapping.items()) == list(mapping.items())
-        assert all(type(k) is str for k in enc.mapping)
-        queries = aug2700.column("demographic")
-        assert enc.encode(queries).tolist() == [float(mapping[q]) for q in queries.tolist()]
+        assert list(plan.encoders["demographic"].items()) == list(mapping.items())
+        assert all(type(k) is str for k in plan.encoders["demographic"])
+        X, _ = transform(aug2700, plan)
+        queries = aug2700.column("demographic").tolist()
+        assert feature(X, plan, "demographic").tolist() == [float(mapping[q]) for q in queries]
 
-    def test_refit_appends_new_labels(self):
-        enc = ColumnEncoder("device").fit(["tv", "phone"]).fit(["phone", "pc", "tv"])
-        assert enc.mapping == {"tv": 0, "phone": 1, "pc": 2}
-
-    def test_empty_labels(self):
-        enc = ColumnEncoder("device").fit(["tv"])
-        assert enc.encode(np.array([], dtype=object)).shape == (0,)
+    def test_empty_labels(self, base450):
+        _, _, plan = fit_transform(base450)
+        X, y = transform(base450.subset([]), plan)
+        assert X.shape == (0, 12) and y.shape == (0,)
 
 
 class TestStandardScaler:
+    """Standardization of numeric columns by the fitted plan."""
+
     def test_population_moments(self):
-        sc = StandardScaler()
         vals = np.array([1.0, 2.0, 3.0, 4.0])
-        assert sc.fit("x", vals)
-        out = sc.transform("x", vals)
+        X, _, plan = fit_transform(sessions_with(duration_s=vals))
+        out = feature(X, plan, "duration_s")
         assert out.mean() == pytest.approx(0.0, abs=1e-12)
         assert out.std() == pytest.approx(1.0, abs=1e-12)  # population sigma
-        assert sc.std["x"] == pytest.approx(np.std(vals))
+        assert plan.std["duration_s"] == pytest.approx(np.std(vals))
+        assert plan.mean["duration_s"] == pytest.approx(2.5)
 
     def test_constant_column_dropped(self):
-        sc = StandardScaler()
-        with pytest.warns(UserWarning, match="constant"):
-            kept = sc.fit("x", np.array([5.0, 5.0, 5.0]))
-        assert not kept
-        assert "x" not in sc.mean
+        with pytest.warns(UserWarning, match="'duration_s' is constant on the training "
+                                             "split; dropped"):
+            X, _, plan = fit_transform(sessions_with(duration_s=[5.0, 5.0, 5.0]))
+        assert "duration_s" not in plan.feature_columns
+        assert "duration_s" not in plan.mean and "duration_s" not in plan.std
+        assert X.shape[1] == len(plan.feature_columns)
+        assert plan.to_doc()["scaler"]["columns"] == [
+            c for c in plan.feature_columns if c not in plan.encoders]
+
+
+class TestPlanCheck:
+    """A plan names each feature's encoding exactly once; a document that
+    does not is a domain error."""
+
+    @pytest.fixture
+    def doc(self, base450):
+        return fit_transform(base450)[2].to_doc()
+
+    def test_round_trip_keeps_the_document(self, doc):
+        assert FittedPreprocessor.from_doc(doc).to_doc() == doc
+
+    def test_feature_without_mean(self, doc):
+        del doc["scaler"]["mean"]["duration_s"]
+        with pytest.raises(InvalidArgumentError, match="'duration_s'"):
+            FittedPreprocessor.from_doc(doc)
+
+    def test_feature_with_both_encodings(self, doc):
+        doc["encoders"]["duration_s"] = {"x": 0}
+        with pytest.raises(InvalidArgumentError, match="'duration_s'"):
+            FittedPreprocessor.from_doc(doc)
+
+    def test_feature_with_neither_encoding(self, doc):
+        del doc["encoders"]["device"]
+        with pytest.raises(InvalidArgumentError, match="'device'"):
+            FittedPreprocessor.from_doc(doc)
+
+    def test_encoding_of_a_non_feature_column(self, doc):
+        doc["feature_columns"].remove("vmaf_mean")
+        with pytest.raises(InvalidArgumentError, match="non-feature columns \\['vmaf_mean'\\]"):
+            FittedPreprocessor.from_doc(doc)
+
+    def test_fit_transform_is_fit_then_transform(self, aug2700):
+        X, y, plan = fit_transform(aug2700, exclude=("demographic",))
+        fitted = FittedPreprocessor.fit(aug2700, exclude=("demographic",))
+        assert fitted.to_doc() == plan.to_doc()
+        X2, y2 = transform(aug2700, fitted)
+        assert X.tobytes() == X2.tobytes() and y.tobytes() == y2.tobytes()
 
 
 class TestFitTransform:
@@ -104,7 +158,7 @@ class TestFitTransform:
         Xt, yt = transform(test, fitted)
         assert Xt.shape == (150, len(fitted.feature_columns))
         j = fitted.feature_columns.index("vmaf_mean")
-        mu, sd = fitted.scaler.mean["vmaf_mean"], fitted.scaler.std["vmaf_mean"]
+        mu, sd = fitted.mean["vmaf_mean"], fitted.std["vmaf_mean"]
         np.testing.assert_allclose(
             Xt[:, j], (test.column("vmaf_mean").astype(float) - mu) / sd
         )
@@ -117,6 +171,12 @@ class TestFitTransform:
         )
         with pytest.raises(SchemaMismatchError):
             transform(stripped, fitted)
+
+    def test_transform_missing_target_column(self, base450):
+        _, _, fitted = fit_transform(base450)
+        doc = {**fitted.to_doc(), "target_column": "nope"}
+        with pytest.raises(SchemaMismatchError, match=r"lacks fitted columns \['nope'\]"):
+            transform(base450, FittedPreprocessor.from_doc(doc))
 
     def test_round_trip_doc(self, base450):
         X, _, fitted = fit_transform(base450)
