@@ -15,7 +15,7 @@ import io
 import itertools
 import math
 import sys
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass
 from types import MappingProxyType
 from typing import Mapping
 
@@ -65,7 +65,7 @@ AUGMENTED_SCHEMA: tuple[Column, ...] = BASE_SCHEMA + (
 )
 
 _INT_COLUMNS = {"session_id", "stall_count", "base_session_id"}
-_STRING_COLUMNS = {"content_type", "device", "encoding_profile", "demographic"}
+_STRING_COLUMNS = {c.name for c in AUGMENTED_SCHEMA if c.kind == "categorical"}
 
 # Rows per block when CSV text is formatted or parsed, so neither holds a
 # Python object per cell of the whole file at once.
@@ -81,12 +81,12 @@ def _dtype(name: str):
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """One read-only numpy column per schema column, plus a provenance record.
+    """One read-only numpy column per schema column.
 
     Columns are equal-length 1-D arrays: int64 for ids and ``stall_count``,
     object arrays of ``str`` for categoricals, float64 for the rest. They are
-    copied and frozen on construction, so a dataset never changes (and its
-    memoized hash never goes stale); derived datasets are new objects.
+    copied and frozen on construction, so a dataset never changes; derived
+    datasets are new objects.
     ``copy=False`` hands over arrays that nothing else holds (the module's
     own constructors pass freshly computed ones): they are frozen in place
     instead of copied.
@@ -94,9 +94,7 @@ class Dataset:
 
     schema: tuple[Column, ...]
     columns: Mapping[str, np.ndarray]
-    provenance: dict = field(default_factory=dict)
     copy: InitVar[bool] = True
-    _hash: str | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self, copy: bool):
         names = [c.name for c in self.schema]
@@ -129,7 +127,6 @@ class Dataset:
         return Dataset(
             schema=self.schema,
             columns={name: col[idx] for name, col in self.columns.items()},
-            provenance=dict(self.provenance),
             copy=False,
         )
 
@@ -231,12 +228,7 @@ def generate_base_dataset(n: int, seed: int) -> Dataset:
         + mos_noise
     )
     columns["mos"] = np.minimum(np.maximum(latent, 0.0), 100.0)
-    return Dataset(
-        schema=BASE_SCHEMA,
-        columns=columns,
-        provenance={"source": "synthetic", "seed": int(seed)},
-        copy=False,
-    )
+    return Dataset(schema=BASE_SCHEMA, columns=columns, copy=False)
 
 
 def _quote(text: str) -> str:
@@ -280,19 +272,30 @@ def write_csv(dataset: Dataset, path) -> None:
 
 
 def dataset_hash(dataset: Dataset) -> str:
-    """SHA-256 of the canonical CSV emission; stable content identity.
+    """SHA-256 of the canonical CSV emission; stable content identity."""
+    digest = hashlib.sha256()
+    for block in _csv_blocks(dataset):
+        digest.update(block.encode("utf-8"))
+    return digest.hexdigest()
 
-    Memoized on the dataset: its columns are read-only, so it cannot go stale.
+
+def _parse_column(name: str, cells: tuple[str, ...]) -> np.ndarray:
+    """One column's array; raises ValueError or OverflowError on a bad cell.
+
+    Ints must fit int64 and floats must be finite.
     """
-    if dataset._hash is None:
-        digest = hashlib.sha256()
-        for block in _csv_blocks(dataset):
-            digest.update(block.encode("utf-8"))
-        object.__setattr__(dataset, "_hash", digest.hexdigest())
-    return dataset._hash
+    if name in _STRING_COLUMNS:  # equal labels then share one str object
+        return np.array(list(map(sys.intern, cells)), dtype=object)
+    arr = np.array(list(map(int if name in _INT_COLUMNS else float, cells)), dtype=_dtype(name))
+    if name not in _INT_COLUMNS and not np.isfinite(arr).all():
+        raise ValueError(f"non-finite value in {name}")
+    return arr
 
 
 def _cell_ok(name: str, cell: str) -> bool:
+    """Whether ``_parse_column`` accepts ``cell`` in column ``name``."""
+    if name in _STRING_COLUMNS:
+        return True
     try:
         value = int(cell) if name in _INT_COLUMNS else float(cell)
     except ValueError:
@@ -302,47 +305,28 @@ def _cell_ok(name: str, cell: str) -> bool:
     return math.isfinite(value)
 
 
-def _parse_column(name: str, cells: tuple[str, ...]):
-    """(array, None), or (None, index of the first unparseable cell).
-
-    Ints must fit int64 and floats must be finite.
-    """
-    if name in _STRING_COLUMNS:  # equal labels then share one str object
-        return np.array(list(map(sys.intern, cells)), dtype=object), None
-    try:
-        arr = np.array(
-            list(map(int if name in _INT_COLUMNS else float, cells)), dtype=_dtype(name)
-        )
-        if name in _INT_COLUMNS or np.isfinite(arr).all():
-            return arr, None
-    except (ValueError, OverflowError):
-        pass
-    return None, next(i for i, cell in enumerate(cells) if not _cell_ok(name, cell))
-
-
 def _parse_block(records: list[list[str]], header: list[str], first_row: int) -> dict:
-    """Columns of one block of records; raises the row-major first error.
+    """Columns of one block of records; raises the row-major first fault.
 
-    A record with the wrong cell count fails before any of its cells, and
-    its cells are never parsed, as in a row-at-a-time reader.
+    Every column is parsed at once when every record has the header's width.
+    Otherwise, or when a column fails, the block is scanned row by row as a
+    row-at-a-time reader would: a record with the wrong cell count fails
+    before any of its cells, then the first cell ``_cell_ok`` rejects.
     """
     width = len(header)
-    lengths = list(map(len, records))
-    valid = next((i for i, k in enumerate(lengths) if k != width), len(records))
-    cells = list(zip(*records[:valid])) or [()] * width
-    columns, errors = {}, []
-    for j, name in enumerate(header):
-        columns[name], bad = _parse_column(name, cells[j])
-        if bad is not None:
-            errors.append((bad, j))
-    if errors:
-        i, j = min(errors)
-        raise CsvParseError(first_row + i, header[j], cells[j][i])
-    if valid < len(records):
-        raise SchemaMismatchError(
-            f"row {first_row + valid}: expected {width} cells, got {lengths[valid]}"
-        )
-    return columns
+    if {*map(len, records)} == {width}:
+        try:
+            return {name: _parse_column(name, cells)
+                    for name, cells in zip(header, zip(*records))}
+        except (ValueError, OverflowError):
+            pass
+    for row, record in enumerate(records, first_row):
+        if len(record) != width:
+            raise SchemaMismatchError(f"row {row}: expected {width} cells, got {len(record)}")
+        for name, cell in zip(header, record):
+            if not _cell_ok(name, cell):
+                raise CsvParseError(row, name, cell)
+    raise AssertionError("_cell_ok accepts a block that _parse_column rejects")
 
 
 def read_csv(path) -> Dataset:
@@ -373,7 +357,6 @@ def read_csv(path) -> Dataset:
     ds = Dataset(
         schema=schema,
         columns={name: np.concatenate(p) for name, p in parts.items()},
-        provenance={"source": "ingested"},
         copy=False,
     )
     ds.validate_rows()

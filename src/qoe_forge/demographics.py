@@ -20,7 +20,7 @@ from .data_model import (
     BITRATE_MAX_KBPS,
     BITRATE_MIN_KBPS,
     Dataset,
-    dataset_hash,
+    dataset_hash,  # not called here; perfbench/layers.py wraps it by this name
 )
 from .errors import DegenerateInputError, InvalidArgumentError
 
@@ -262,13 +262,4 @@ def augment_dataset(
     columns["demographic"] = np.tile(np.array(PROFILE_IDS, dtype=object), n)
     columns["base_session_id"] = np.repeat(sids, k)
 
-    return Dataset(
-        schema=AUGMENTED_SCHEMA,
-        columns=columns,
-        provenance={
-            "source": "augmented",
-            "seed": int(cfg.seed),
-            "parent_hash": dataset_hash(base),
-        },
-        copy=False,
-    )
+    return Dataset(schema=AUGMENTED_SCHEMA, columns=columns, copy=False)

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import Dataset
+from .demographics import PROFILE_IDS
 from .errors import InvalidArgumentError, SchemaMismatchError, UndefinedMetricError
 
 
@@ -147,8 +148,6 @@ def correlation_by_demographic(dataset: Dataset, feature: str) -> dict[str, floa
     mos = dataset.column("mos").astype(np.float64)
     labels = dataset.column("demographic")
     out: dict[str, float | None] = {}
-    from .demographics import PROFILE_IDS
-
     for profile in PROFILE_IDS:
         mask = labels == profile
         if not mask.any():

@@ -3,6 +3,7 @@ leakage-safe splits."""
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -37,7 +38,8 @@ class FittedPreprocessor:
     feature has a label -> code mapping in ``encoders``, codes in
     first-appearance order; a numeric one has a population ``mean`` and
     ``std``. Building a plan checks that every feature has exactly one of the
-    two and that no mapping or statistic names another column.
+    two, that no mapping or statistic names another column, and that every
+    mean is finite and every std finite and above 0.
     """
 
     feature_columns: list[str]
@@ -55,6 +57,12 @@ class FittedPreprocessor:
         stray = {*self.encoders, *self.mean, *self.std}.difference(self.feature_columns)
         if stray:
             raise InvalidArgumentError(f"encodings of non-feature columns {sorted(stray)}")
+        for name, mu in self.mean.items():
+            sigma = self.std[name]
+            if not (math.isfinite(mu) and math.isfinite(sigma) and sigma > 0):
+                raise InvalidArgumentError(
+                    f"column {name!r} needs a finite mean and a finite std above 0, "
+                    f"got mean {mu!r} and std {sigma!r}")
 
     @classmethod
     def fit(cls, train: Dataset, exclude: tuple[str, ...] = ()) -> "FittedPreprocessor":

@@ -6,6 +6,7 @@ applies the documented tie-break: lowest cost, then lowest feature index,
 then lowest threshold.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,3 +118,34 @@ def loop_average_ranks(x) -> np.ndarray:
         ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
         i = j + 1
     return ranks
+
+
+CSV_INT_COLUMNS = {"session_id", "stall_count", "base_session_id"}
+CSV_CATEGORICAL_COLUMNS = {"content_type", "device", "encoding_profile", "demographic"}
+
+
+def first_csv_fault(header, records):
+    """The first fault of a row-at-a-time CSV reader, or None.
+
+    Rows are 1-based data rows. A record with the wrong cell count is
+    ``("SchemaMismatchError", row, None, cell count)``; otherwise the first
+    cell that is not an int in int64 range (int columns), not a finite float
+    (other numeric columns) is ``("CsvParseError", row, column, cell)``.
+    Categorical cells are always accepted.
+    """
+    for row, record in enumerate(records, start=1):
+        if len(record) != len(header):
+            return ("SchemaMismatchError", row, None, len(record))
+        for column, cell in zip(header, record):
+            if column in CSV_CATEGORICAL_COLUMNS:
+                continue
+            try:
+                if column in CSV_INT_COLUMNS:
+                    ok = -(2**63) <= int(cell) < 2**63
+                else:
+                    ok = math.isfinite(float(cell))
+            except ValueError:
+                ok = False
+            if not ok:
+                return ("CsvParseError", row, column, cell)
+    return None

@@ -23,6 +23,7 @@ from qoe_forge.errors import (
 )
 
 from conftest import columns_equal, make_session
+from oracles import first_csv_fault
 
 
 class TestGeneration:
@@ -178,6 +179,58 @@ class TestCsv:
             read_csv(self._write_lines(tmp_path, base, late_errors))
         assert (exc.value.row, exc.value.column) == (2500, "stall_count")
 
+    @pytest.fixture(scope="class")
+    def aug_records(self, tmp_path_factory, aug2700):
+        path = tmp_path_factory.mktemp("aug") / "aug.csv"
+        write_csv(aug2700, path)
+        header, *records = [line.split(",") for line in path.read_text().splitlines()]
+        return header, records
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_first_fault_matches_row_loop_oracle(self, tmp_path, aug_records, seed):
+        header, records = aug_records
+        records = [list(r) for r in records]
+        rng = np.random.default_rng(seed)
+        # Faults share rows drawn from a pool of two, so one row often holds
+        # several; 2700 rows span three parse blocks.
+        pool = rng.integers(0, len(records), size=2)
+        cell_values = {"bad_int": ["x", "1.5", "1e3"], "bad_float": ["x", "nan", "--1"],
+                       "inf": ["inf", "-inf", "1e400"], "2**63": [str(2**63)]}
+        kinds = [*cell_values, "short", "long"]
+        faults = [(kinds[rng.integers(len(kinds))], int(rng.choice(pool)))
+                  for _ in range(rng.integers(1, 4))]
+        # Cells first, so a later width change cannot drop an injected cell.
+        for kind, i in sorted(faults, key=lambda f: f[0] in ("short", "long")):
+            if kind == "short":
+                del records[i][rng.integers(0, len(records[i])):]
+            elif kind == "long":
+                records[i].append("1")
+            elif len(records[i]) == len(header):
+                options = cell_values[kind]
+                records[i][rng.integers(len(header))] = options[rng.integers(len(options))]
+        path = tmp_path / "faults.csv"
+        path.write_text("\n".join(map(",".join, [header, *records])) + "\n")
+
+        expected = first_csv_fault(header, records)
+        if expected is None:
+            # Each injected cell parses where it landed; only the row
+            # invariants, checked after parsing, can still fail.
+            try:
+                read_csv(path)
+            except RowValidationError:
+                pass
+            return
+        kind, row, column, value = expected
+        if kind == "SchemaMismatchError":
+            with pytest.raises(SchemaMismatchError) as exc:
+                read_csv(path)
+            assert type(exc.value) is SchemaMismatchError
+            assert str(exc.value) == f"row {row}: expected {len(header)} cells, got {value}"
+        else:
+            with pytest.raises(CsvParseError) as exc:
+                read_csv(path)
+            assert (exc.value.row, exc.value.column, exc.value.value) == (row, column, value)
+
     def test_int_beyond_int64_is_a_parse_error(self, tmp_path):
         base = generate_base_dataset(6, seed=0)
         for column, value in (("session_id", str(2**63)), ("session_id", "9" * 400),
@@ -254,11 +307,9 @@ class TestDataset:
         assert ds.column("stall_count").dtype == np.int64  # converted, so copied
         assert stall.flags.writeable
 
-    def test_hash_is_memoized_per_instance(self):
+    def test_hash_is_unchanged_by_a_full_subset(self):
         ds = generate_base_dataset(30, seed=2)
-        first = dataset_hash(ds)
-        assert dataset_hash(ds) is first  # the same str object: not recomputed
-        assert dataset_hash(ds.subset(range(30))) == first
+        assert dataset_hash(ds.subset(range(30))) == dataset_hash(ds)
 
     def test_invariant_violations_listed(self):
         bad = make_session(mos=-1.0, stall_count=0, stall_duration_s=1.0)

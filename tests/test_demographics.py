@@ -218,11 +218,6 @@ class TestAugmentDataset:
         assert abs(diff.mean()) < 0.2
         assert abs(diff.std() - 2.0) < 0.2
 
-    def test_provenance(self, base450, aug2700):
-        assert aug2700.provenance["source"] == "augmented"
-        assert aug2700.provenance["seed"] == 1
-        assert "parent_hash" in aug2700.provenance
-
     def test_matches_row_loop_reference(self, base450, aug2700):
         assert aug2700.column("mos").tolist() == reference_augmented_mos(
             base450, AugmentationConfig(seed=1))
@@ -234,8 +229,7 @@ class TestAugmentDataset:
     def test_rejects_augmented_input(self, aug2700):
         with pytest.raises(InvalidArgumentError, match="base schema"):
             augment_dataset(aug2700, AugmentationConfig(seed=1))
-        # Provenance does not matter: a re-read augmented dataset is refused too.
-        reread = Dataset(aug2700.schema, aug2700.columns, provenance={"source": "ingested"})
+        reread = Dataset(aug2700.schema, aug2700.columns)
         with pytest.raises(InvalidArgumentError):
             augment_dataset(reread, AugmentationConfig(seed=1))
 

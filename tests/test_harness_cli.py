@@ -175,8 +175,8 @@ class TestRunCompare:
             assert all(v >= 0 for v in side.values())
 
     def test_each_dataset_hashed_once(self, monkeypatch):
-        # The base side is hashed for the augmented provenance and for its
-        # own report block; the memo makes that one computation.
+        # Each side is hashed once, for its own report block; augmenting
+        # the base side does not hash it.
         hashed = []
         blocks = data_model._csv_blocks
         monkeypatch.setattr(data_model, "_csv_blocks",
@@ -424,6 +424,20 @@ class TestCli:
         assert main(["evaluate", "--model", str(model), "--in", str(base)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: feature column 'duration_s'")
+
+    def test_evaluate_negative_std_exits_1(self, tmp_path, capsys):
+        # A negative std once flipped the column silently: exit 0, r2 -0.46.
+        base, model = tmp_path / "b.csv", tmp_path / "m.json"
+        main(["generate", "--n", "30", "--seed", "5", "--out", str(base)])
+        main(["train", "--in", str(base), "--model", "linear_regression",
+              "--out", str(model)])
+        doc = json.loads(model.read_text())
+        doc["preprocessor"]["scaler"]["std"]["duration_s"] = -1.0
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["evaluate", "--model", str(model), "--in", str(base)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: column 'duration_s'") and "Traceback" not in err
 
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QOE_FORGE_SEED", "5")

@@ -117,6 +117,14 @@ class TestPlanCheck:
         with pytest.raises(InvalidArgumentError, match="non-feature columns \\['vmaf_mean'\\]"):
             FittedPreprocessor.from_doc(doc)
 
+    @pytest.mark.parametrize("stat, value", [
+        ("std", -1.0), ("std", float("inf")), ("std", 0.0), ("mean", float("nan")),
+    ])
+    def test_statistic_out_of_range(self, doc, stat, value):
+        doc["scaler"][stat]["duration_s"] = value
+        with pytest.raises(InvalidArgumentError, match="'duration_s'"):
+            FittedPreprocessor.from_doc(doc)
+
     def test_fit_transform_is_fit_then_transform(self, aug2700):
         X, y, plan = fit_transform(aug2700, exclude=("demographic",))
         fitted = FittedPreprocessor.fit(aug2700, exclude=("demographic",))
