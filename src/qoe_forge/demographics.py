@@ -75,10 +75,14 @@ class AugmentationConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.noise_sigma < 0:
-            raise InvalidArgumentError("noise_sigma must be >= 0")
-        if self.adjustment_scale <= 0:
-            raise InvalidArgumentError("adjustment_scale must be > 0")
+        if not math.isfinite(self.noise_sigma) or self.noise_sigma < 0:
+            raise InvalidArgumentError(
+                f"noise_sigma must be a finite number >= 0, got {self.noise_sigma}"
+            )
+        if not math.isfinite(self.adjustment_scale) or self.adjustment_scale <= 0:
+            raise InvalidArgumentError(
+                f"adjustment_scale must be a finite number > 0, got {self.adjustment_scale}"
+            )
 
 
 def compute_impact_factors(columns: Mapping[str, np.ndarray]) -> ImpactFactors:

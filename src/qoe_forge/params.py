@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+import math
 import operator
 
 from .errors import InvalidArgumentError
@@ -25,7 +26,10 @@ def _int(value) -> int:
 def _float(value) -> float:
     if isinstance(value, (bool, str)):
         raise TypeError("not a number")
-    return float(value)
+    out = float(value)
+    if not math.isfinite(out):
+        raise ValueError("not finite")
+    return out
 
 
 def _bool(value) -> bool:
@@ -67,8 +71,10 @@ def convert(key: str, annotation: str, value):
         return None
     try:
         return _CONVERTERS[base](value)
-    except (TypeError, ValueError):
-        raise InvalidArgumentError(f"{key}: expected {annotation}, got {value!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgumentError(
+            f"{key}: expected {annotation}, got {value!r} ({exc})"
+        ) from None
 
 
 def check_params(prefix: str, declared: dict[str, str], raw: dict) -> dict:

@@ -6,6 +6,8 @@ applies the documented tie-break: lowest cost, then lowest feature index,
 then lowest threshold.
 """
 
+import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -149,3 +151,30 @@ def first_csv_fault(header, records):
             if not ok:
                 return ("CsvParseError", row, column, cell)
     return None
+
+
+def row_loop_csv_text(dataset) -> str:
+    """The canonical CSV text of ``dataset``, written one row at a time.
+
+    Every cell is formatted on its own: ``str`` for an int64 column, ``repr``
+    for a float64 column and the label itself for a categorical, and each
+    record goes through ``csv.writer``. A lone ``"\r"`` in a cell must be
+    quoted as a ``"\n"`` is, so records are written with ``"\r\n"`` ends that
+    are then cut to ``"\n"``.
+    """
+    names = dataset.column_names()
+    columns = [dataset.column(name) for name in names]
+    formats = [
+        {"int64": str, "float64": repr}.get(col.dtype.name, lambda label: label)
+        for col in columns
+    ]
+    values = [col.tolist() for col in columns]
+    records = [names] + [
+        [fmt(vals[i]) for fmt, vals in zip(formats, values)] for i in range(len(dataset))
+    ]
+    text = []
+    for record in records:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(record)
+        text.append(buf.getvalue()[:-2] + "\n")
+    return "".join(text)

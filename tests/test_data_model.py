@@ -15,6 +15,7 @@ from qoe_forge.data_model import (
     read_csv,
     write_csv,
 )
+from qoe_forge.demographics import AugmentationConfig, augment_dataset
 from qoe_forge.errors import (
     CsvParseError,
     InvalidArgumentError,
@@ -23,7 +24,7 @@ from qoe_forge.errors import (
 )
 
 from conftest import columns_equal, make_session
-from oracles import first_csv_fault
+from oracles import first_csv_fault, row_loop_csv_text
 
 
 class TestGeneration:
@@ -342,6 +343,39 @@ class TestDataset:
 
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def emitter_cases(aug2700):
+    """Datasets whose CSV text is checked against the row-at-a-time writer."""
+    # Session 170 of 171 fills rows 1020-1025, across the 1024-row block edge.
+    across = augment_dataset(generate_base_dataset(171, seed=3), AugmentationConfig(seed=4))
+    assert len(set(across.column("duration_s")[1020:1026].tolist())) == 1
+    small = generate_base_dataset(8, seed=0)
+    zeros = [0.0, -0.0, -0.0, 0.0, 0.0, -0.0, 1.0, -0.0]
+    signed = Dataset(BASE_SCHEMA, {**small.columns, "stall_duration_s": zeros,
+                                   "mos": zeros[::-1]})
+    # duration_s and stall_count hold one value; session_id and
+    # bitrate_mean_kbps never repeat.
+    wide = generate_base_dataset(2100, seed=5)
+    constant = Dataset(BASE_SCHEMA, {**wide.columns, "duration_s": np.full(2100, 300.0),
+                                     "stall_count": np.full(2100, 7)})
+    assert len(set(wide.column("bitrate_mean_kbps").tolist())) == 2100
+    return {"paper_corpus": aug2700, "run_across_blocks": across, "signed_zeros": signed,
+            "constant_and_distinct": constant, "one_row": make_session()}
+
+
+class TestEmitter:
+    """``write_csv`` and ``dataset_hash`` against ``row_loop_csv_text``."""
+
+    @pytest.mark.parametrize("case", ["paper_corpus", "run_across_blocks", "signed_zeros",
+                                      "constant_and_distinct", "one_row"])
+    def test_matches_row_loop_oracle(self, tmp_path, emitter_cases, case):
+        ds = emitter_cases[case]
+        expected = row_loop_csv_text(ds).encode("utf-8")
+        write_csv(ds, tmp_path / "out.csv")
+        assert (tmp_path / "out.csv").read_bytes() == expected
+        assert dataset_hash(ds) == hashlib.sha256(expected).hexdigest()
 
 
 class TestPinnedBytes:

@@ -158,6 +158,11 @@ class TestAdjustMos:
             AugmentationConfig(noise_sigma=-1.0)
         with pytest.raises(InvalidArgumentError):
             AugmentationConfig(adjustment_scale=0.0)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InvalidArgumentError, match="^noise_sigma must be a finite number"):
+                AugmentationConfig(noise_sigma=bad)
+            with pytest.raises(InvalidArgumentError, match="^adjustment_scale must be a finite number"):
+                AugmentationConfig(adjustment_scale=bad)
 
 
 class TestAugmentDataset:

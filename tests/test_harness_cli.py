@@ -312,6 +312,40 @@ class TestCli:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--noise-sigma", "--adjustment-scale"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_augment_non_finite_flag_exits_1(self, tmp_path, capsys, flag, value):
+        # NaN once passed the range checks: exit 0, and "nan" MOS cells that
+        # split could not read back.
+        base, out = tmp_path / "b.csv", tmp_path / "a.csv"
+        main(["generate", "--n", "5", "--out", str(base)])
+        capsys.readouterr()
+        assert main(["augment", "--in", str(base), "--out", str(out), flag, value]) == 1
+        err = capsys.readouterr().err
+        field = flag.removeprefix("--").replace("-", "_")
+        assert err.startswith(f"error: {field} must be a finite number")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", [
+        "profiles.casual_viewer.w_rebuff",
+        "augment.noise_sigma",
+        "augment.adjustment_scale",
+        "split.test_fraction",
+        "models.mlp.learning_rate",
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_config_float_exits_1(self, tmp_path, capsys, key, value):
+        # A NaN profile weight once ran compare to exit 0 with every augmented
+        # model failing; an infinite noise_sigma clipped every MOS to 0 or 100.
+        out = tmp_path / "out"
+        cfg = fast_config(tmp_path, f"{key} = {value}\n")
+        assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}: expected float, got {float(value)!r}")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_train_config_max_depth_none(self, tmp_path, capsys):
         base, model, cfg = tmp_path / "b.csv", tmp_path / "dt.json", tmp_path / "c.cfg"
         cfg.write_text("models.decision_tree.max_depth = None\n")
