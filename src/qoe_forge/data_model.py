@@ -13,7 +13,6 @@ import csv
 import hashlib
 import io
 import itertools
-import math
 import sys
 from dataclasses import InitVar, dataclass
 from types import MappingProxyType
@@ -40,53 +39,46 @@ BITRATE_MAX_KBPS = 20000.0
 class Column:
     name: str
     kind: str  # numeric | categorical | target | group | meta
+    dtype: type  # storage: np.int64, np.float64, or object (of str)
 
 
 BASE_SCHEMA: tuple[Column, ...] = (
-    Column("session_id", "meta"),
-    Column("content_type", "categorical"),
-    Column("device", "categorical"),
-    Column("encoding_profile", "categorical"),
-    Column("duration_s", "numeric"),
-    Column("bitrate_mean_kbps", "numeric"),
-    Column("bitrate_std_kbps", "numeric"),
-    Column("vmaf_mean", "numeric"),
-    Column("vmaf_std", "numeric"),
-    Column("ssim_mean", "numeric"),
-    Column("qp_mean", "numeric"),
-    Column("stall_duration_s", "numeric"),
-    Column("stall_count", "numeric"),
-    Column("mos", "target"),
+    Column("session_id", "meta", np.int64),
+    Column("content_type", "categorical", object),
+    Column("device", "categorical", object),
+    Column("encoding_profile", "categorical", object),
+    Column("duration_s", "numeric", np.float64),
+    Column("bitrate_mean_kbps", "numeric", np.float64),
+    Column("bitrate_std_kbps", "numeric", np.float64),
+    Column("vmaf_mean", "numeric", np.float64),
+    Column("vmaf_std", "numeric", np.float64),
+    Column("ssim_mean", "numeric", np.float64),
+    Column("qp_mean", "numeric", np.float64),
+    Column("stall_duration_s", "numeric", np.float64),
+    Column("stall_count", "numeric", np.int64),
+    Column("mos", "target", np.float64),
 )
 
 AUGMENTED_SCHEMA: tuple[Column, ...] = BASE_SCHEMA + (
-    Column("demographic", "categorical"),
-    Column("base_session_id", "group"),
+    Column("demographic", "categorical", object),
+    Column("base_session_id", "group", np.int64),
 )
 
-_INT_COLUMNS = {"session_id", "stall_count", "base_session_id"}
-_STRING_COLUMNS = {c.name for c in AUGMENTED_SCHEMA if c.kind == "categorical"}
+# Each storage type's cell parser; interned labels share one str object.
+_CELL_PARSERS = {np.int64: int, np.float64: float, object: sys.intern}
 
 # Rows per block when CSV text is formatted or parsed, so neither holds a
 # Python object per cell of the whole file at once.
 _BLOCK_ROWS = 1024
 
 
-def _dtype(name: str):
-    """Column storage: object arrays of str, int64, or float64."""
-    if name in _STRING_COLUMNS:
-        return object
-    return np.int64 if name in _INT_COLUMNS else np.float64
-
-
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """One read-only numpy column per schema column.
 
-    Columns are equal-length 1-D arrays: int64 for ids and ``stall_count``,
-    object arrays of ``str`` for categoricals, float64 for the rest. They are
-    copied and frozen on construction, so a dataset never changes; derived
-    datasets are new objects.
+    Columns are equal-length 1-D arrays of their schema column's ``dtype``
+    (object arrays hold ``str``). They are copied and frozen on construction,
+    so a dataset never changes; derived datasets are new objects.
     ``copy=False`` hands over arrays that nothing else holds (the module's
     own constructors pass freshly computed ones): they are frozen in place
     instead of copied.
@@ -103,7 +95,7 @@ class Dataset:
                 f"columns {sorted(self.columns)} do not match the schema {names}"
             )
         to_array = np.array if copy else np.asarray
-        frozen = {name: to_array(self.columns[name], dtype=_dtype(name)) for name in names}
+        frozen = {c.name: to_array(self.columns[c.name], dtype=c.dtype) for c in self.schema}
         if any(a.ndim != 1 for a in frozen.values()) or len(set(map(len, frozen.values()))) > 1:
             raise InvalidArgumentError("columns must be 1-D arrays of one length")
         for arr in frozen.values():
@@ -244,13 +236,10 @@ def _format_runs(values: np.ndarray, fmt):
 
     Runs compare the values' 64-bit patterns, so ``0.0`` and ``-0.0`` stay
     apart. Augmented data repeats most numeric columns once per demographic
-    profile; values without runs are formatted one by one.
+    profile.
     """
     bits = values.view(np.int64)
-    heads = np.flatnonzero(bits[1:] != bits[:-1]) + 1
-    if len(heads) == len(values) - 1:
-        return map(fmt, values.tolist())
-    starts = np.concatenate(([0], heads))
+    starts = np.concatenate(([0], np.flatnonzero(bits[1:] != bits[:-1]) + 1))
     texts = np.array(list(map(fmt, values[starts].tolist())), dtype=object)
     return np.repeat(texts, np.diff(starts, append=len(values))).tolist()
 
@@ -258,15 +247,16 @@ def _format_runs(values: np.ndarray, fmt):
 def _csv_blocks(dataset: Dataset):
     """The canonical CSV text, header first, in blocks of ``_BLOCK_ROWS`` rows.
 
-    Ints are written with ``str``, floats with ``repr`` (round-trip
-    precision) and categoricals quoted by the csv module's minimal rules.
+    Numbers are written with ``repr`` (round-trip precision for floats; an
+    int's ``repr`` is its ``str``) and categoricals quoted by the csv
+    module's minimal rules.
     """
     names = dataset.column_names()
     yield ",".join(map(_quote, names)) + "\n"
     quoted = {
-        name: {v: _quote(str(v)) for v in set(dataset.column(name).tolist())}
-        for name in names
-        if name in _STRING_COLUMNS
+        c.name: {v: _quote(str(v)) for v in set(dataset.column(c.name).tolist())}
+        for c in dataset.schema
+        if c.dtype is object
     }
     for start in range(0, len(dataset), _BLOCK_ROWS):
         cells = []
@@ -275,7 +265,7 @@ def _csv_blocks(dataset: Dataset):
             if name in quoted:
                 cells.append(map(quoted[name].__getitem__, values.tolist()))
             else:
-                cells.append(_format_runs(values, str if name in _INT_COLUMNS else repr))
+                cells.append(_format_runs(values, repr))
         yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
@@ -295,85 +285,82 @@ def dataset_hash(dataset: Dataset) -> str:
     return digest.hexdigest()
 
 
-def _parse_column(name: str, cells: tuple[str, ...]) -> np.ndarray:
+def _parse_column(col: Column, cells: tuple[str, ...]) -> np.ndarray:
     """One column's array; raises ValueError or OverflowError on a bad cell.
 
     Ints must fit int64 and floats must be finite.
     """
-    if name in _STRING_COLUMNS:  # equal labels then share one str object
-        return np.array(list(map(sys.intern, cells)), dtype=object)
-    arr = np.array(list(map(int if name in _INT_COLUMNS else float, cells)), dtype=_dtype(name))
-    if name not in _INT_COLUMNS and not np.isfinite(arr).all():
-        raise ValueError(f"non-finite value in {name}")
+    arr = np.array(list(map(_CELL_PARSERS[col.dtype], cells)), dtype=col.dtype)
+    if col.dtype is np.float64 and not np.isfinite(arr).all():
+        raise ValueError(f"non-finite value in {col.name}")
     return arr
 
 
-def _cell_ok(name: str, cell: str) -> bool:
-    """Whether ``_parse_column`` accepts ``cell`` in column ``name``."""
-    if name in _STRING_COLUMNS:
-        return True
-    try:
-        value = int(cell) if name in _INT_COLUMNS else float(cell)
-    except ValueError:
-        return False
-    if name in _INT_COLUMNS:
-        return -(2**63) <= value < 2**63
-    return math.isfinite(value)
-
-
-def _parse_block(records: list[list[str]], header: list[str], first_row: int) -> dict:
+def _parse_block(records: list[list[str]], schema: tuple[Column, ...], first_row: int) -> dict:
     """Columns of one block of records; raises the row-major first fault.
 
-    Every column is parsed at once when every record has the header's width.
+    Every column is parsed at once when every record has the schema's width.
     Otherwise, or when a column fails, the block is scanned row by row as a
     row-at-a-time reader would: a record with the wrong cell count fails
-    before any of its cells, then the first cell ``_cell_ok`` rejects.
+    before any of its cells, then the first cell ``_parse_column`` rejects.
     """
-    width = len(header)
+    width = len(schema)
     if {*map(len, records)} == {width}:
         try:
-            return {name: _parse_column(name, cells)
-                    for name, cells in zip(header, zip(*records))}
+            return {col.name: _parse_column(col, cells)
+                    for col, cells in zip(schema, zip(*records))}
         except (ValueError, OverflowError):
             pass
     for row, record in enumerate(records, first_row):
         if len(record) != width:
             raise SchemaMismatchError(f"row {row}: expected {width} cells, got {len(record)}")
-        for name, cell in zip(header, record):
-            if not _cell_ok(name, cell):
-                raise CsvParseError(row, name, cell)
-    raise AssertionError("_cell_ok accepts a block that _parse_column rejects")
+        for col, cell in zip(schema, record):
+            try:
+                _parse_column(col, (cell,))
+            except (ValueError, OverflowError):
+                raise CsvParseError(row, col.name, cell) from None
+    raise AssertionError("a block that fails column by column has no failing cell")
+
+
+def _read_columns(reader) -> tuple[tuple[Column, ...], dict]:
+    """The schema the header row names and its columns, parsed block by block."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SchemaMismatchError("file has no header row") from None
+    base_names = [c.name for c in BASE_SCHEMA]
+    aug_names = [c.name for c in AUGMENTED_SCHEMA]
+    if header == base_names:
+        schema = BASE_SCHEMA
+    elif header == aug_names:
+        schema = AUGMENTED_SCHEMA
+    else:
+        raise SchemaMismatchError(
+            f"header {header!r} matches neither the base nor the augmented schema"
+        )
+    parts = {c.name: [np.empty(0, dtype=c.dtype)] for c in schema}
+    first_row = 1
+    while block := list(itertools.islice(reader, _BLOCK_ROWS)):
+        for name, arr in _parse_block(block, schema, first_row).items():
+            parts[name].append(arr)
+        first_row += len(block)
+    return schema, {name: np.concatenate(p) for name, p in parts.items()}
 
 
 def read_csv(path) -> Dataset:
-    """Ingest a base or augmented CSV, validating schema and row invariants."""
+    """Ingest a base or augmented CSV, validating schema and row invariants.
+
+    Text that is not UTF-8, or that the csv module rejects (such as a cell
+    over its field size limit), is an ``InvalidArgumentError`` naming ``path``.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaMismatchError("file has no header row") from None
-        base_names = [c.name for c in BASE_SCHEMA]
-        aug_names = [c.name for c in AUGMENTED_SCHEMA]
-        if header == base_names:
-            schema = BASE_SCHEMA
-        elif header == aug_names:
-            schema = AUGMENTED_SCHEMA
-        else:
-            raise SchemaMismatchError(
-                f"header {header!r} matches neither the base nor the augmented schema"
-            )
-        parts = {name: [np.empty(0, dtype=_dtype(name))] for name in header}
-        first_row = 1
-        while block := list(itertools.islice(reader, _BLOCK_ROWS)):
-            for name, arr in _parse_block(block, header, first_row).items():
-                parts[name].append(arr)
-            first_row += len(block)
-
-    ds = Dataset(
-        schema=schema,
-        columns={name: np.concatenate(p) for name, p in parts.items()},
-        copy=False,
-    )
+            schema, columns = _read_columns(reader)
+        except UnicodeDecodeError as exc:
+            raise InvalidArgumentError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except csv.Error as exc:
+            raise InvalidArgumentError(f"{path}, line {reader.line_num}: {exc}") from None
+    ds = Dataset(schema=schema, columns=columns, copy=False)
     ds.validate_rows()
     return ds

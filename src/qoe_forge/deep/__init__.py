@@ -1,27 +1,1 @@
 """Minimal autodiff core and the three trainable tabular networks."""
-
-from .autodiff import Tensor, sparsemax, sparsemax_projection
-from .networks import (
-    AttentionMlpNet,
-    MlpConfig,
-    MlpNet,
-    TabNetConfig,
-    TabNetLite,
-    train_attention_mlp,
-    train_mlp,
-    train_tabnet_lite,
-)
-
-__all__ = [
-    "Tensor",
-    "sparsemax",
-    "sparsemax_projection",
-    "MlpConfig",
-    "MlpNet",
-    "AttentionMlpNet",
-    "TabNetConfig",
-    "TabNetLite",
-    "train_mlp",
-    "train_attention_mlp",
-    "train_tabnet_lite",
-]

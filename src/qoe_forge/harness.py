@@ -30,17 +30,21 @@ REPORT_SCHEMA_VERSION = 1
 
 
 def parse_config_file(path) -> dict:
-    """Flat ``section.key = value`` text config; '#' starts a comment."""
+    """Flat ``section.key = value`` UTF-8 text config; '#' starts a comment."""
     flat: dict[str, object] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise InvalidArgumentError(f"config line {lineno}: expected key = value")
-            key, _, value = line.partition("=")
-            flat[key.strip()] = _parse_value(value.strip())
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise InvalidArgumentError(f"config {path}: not UTF-8 text ({exc.reason})") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise InvalidArgumentError(f"config line {lineno}: expected key = value")
+        key, _, value = line.partition("=")
+        flat[key.strip()] = _parse_value(value.strip())
     return flat
 
 

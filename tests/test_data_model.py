@@ -24,7 +24,12 @@ from qoe_forge.errors import (
 )
 
 from conftest import columns_equal, make_session
-from oracles import first_csv_fault, row_loop_csv_text
+from oracles import (
+    CSV_CATEGORICAL_COLUMNS,
+    CSV_INT_COLUMNS,
+    first_csv_fault,
+    row_loop_csv_text,
+)
 
 
 class TestGeneration:
@@ -109,6 +114,31 @@ class TestCsv:
         path.write_text("session_id,foo\n1,2\n")
         with pytest.raises(SchemaMismatchError):
             read_csv(path)
+
+    @pytest.mark.parametrize("line", [0, 1, 2000])
+    def test_bytes_that_are_not_utf8_are_a_domain_error(self, tmp_path, aug2700, line):
+        # A Latin-1 "\xe9" in the header, the first record, or a record past
+        # the first chunk the text decoder reads.
+        path = tmp_path / "latin1.csv"
+        write_csv(aug2700, path)
+        lines = path.read_bytes().split(b"\n")
+        lines[line] = lines[line].replace(b",", b"\xe9,", 1)
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(InvalidArgumentError) as exc:
+            read_csv(path)
+        assert str(exc.value).startswith(f"{path}: not UTF-8 text")
+
+    def test_cell_over_the_csv_field_limit_is_a_domain_error(self, tmp_path, base450):
+        path = tmp_path / "big.csv"
+        write_csv(base450.subset([0, 1, 2]), path)
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[1] = '"' + "a," * 100_000 + '"'  # content_type: 200,000 characters
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidArgumentError) as exc:
+            read_csv(path)
+        assert str(exc.value).startswith(f"{path}, line 3: field larger than field limit")
 
     def test_unparseable_cell_reports_location(self, tmp_path, base450):
         path = tmp_path / "bad.csv"
@@ -268,6 +298,29 @@ class TestCsv:
         write_csv(bad, path)
         with pytest.raises(RowValidationError):
             read_csv(path)
+
+
+class TestSchema:
+    def test_storage_types_agree_with_the_oracle(self):
+        def named(dtype):
+            return {c.name for c in AUGMENTED_SCHEMA if c.dtype is dtype}
+
+        assert named(np.int64) == CSV_INT_COLUMNS
+        assert named(object) == CSV_CATEGORICAL_COLUMNS
+        assert all(c.dtype in (np.int64, np.float64, object) for c in AUGMENTED_SCHEMA)
+        assert AUGMENTED_SCHEMA[:len(BASE_SCHEMA)] == BASE_SCHEMA
+
+    def test_every_column_has_its_schema_dtype(self, tmp_path, aug2700):
+        base = generate_base_dataset(40, seed=3)
+        augmented = augment_dataset(base, AugmentationConfig(seed=2))
+        write_csv(base, tmp_path / "base.csv")
+        write_csv(aug2700, tmp_path / "aug.csv")
+        header_only = tmp_path / "header.csv"
+        header_only.write_text(",".join(c.name for c in AUGMENTED_SCHEMA) + "\n")
+        for ds in (base, augmented, read_csv(tmp_path / "base.csv"),
+                   read_csv(tmp_path / "aug.csv"), read_csv(header_only)):
+            for c in ds.schema:
+                assert ds.column(c.name).dtype == np.dtype(c.dtype), c.name
 
 
 class TestDataset:

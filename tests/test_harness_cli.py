@@ -61,6 +61,13 @@ class TestConfigParsing:
         with pytest.raises(InvalidArgumentError):
             parse_config_file(path)
 
+    def test_bytes_that_are_not_utf8(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_bytes(b"# r\xe9glages\ndataset.n = 60\n")
+        with pytest.raises(InvalidArgumentError) as exc:
+            parse_config_file(path)
+        assert str(exc.value).startswith(f"config {path}: not UTF-8 text")
+
     def test_from_flat(self):
         cfg = ExperimentConfig.from_flat(
             {
@@ -324,6 +331,34 @@ class TestCli:
         err = capsys.readouterr().err
         field = flag.removeprefix("--").replace("-", "_")
         assert err.startswith(f"error: {field} must be a finite number")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda text: text[:-1] + b"\xe9\n", "not UTF-8 text"),
+        (lambda text: text.replace(b",", b',"' + b"x" * 200_000 + b'"', 1),
+         "line 1: field larger than field limit"),
+    ], ids=["latin1_byte", "oversized_cell"])
+    def test_augment_unreadable_csv_exits_1(self, tmp_path, capsys, damage, message):
+        # Both once escaped as tracebacks: UnicodeDecodeError and _csv.Error.
+        base, out = tmp_path / "b.csv", tmp_path / "a.csv"
+        main(["generate", "--n", "5", "--out", str(base)])
+        capsys.readouterr()
+        base.write_bytes(damage(base.read_bytes()))
+        assert main(["augment", "--in", str(base), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {base}")
+        assert message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_config_not_utf8_exits_1(self, tmp_path, capsys):
+        cfg = fast_config(tmp_path)
+        cfg.write_bytes(cfg.read_bytes() + b"# r\xe9glages\n")
+        out = tmp_path / "out"
+        assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config {cfg}: not UTF-8 text")
         assert "Traceback" not in err
         assert not out.exists()
 
