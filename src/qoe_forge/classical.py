@@ -415,17 +415,40 @@ class KnnModel:
     y_train: np.ndarray
     k: int
 
+    def __post_init__(self):
+        if self.X_train.ndim != 2 or self.y_train.shape != self.X_train.shape[:1]:
+            raise InvalidArgumentError(
+                f"knn needs a 2-D X_train and one y_train value per row, "
+                f"got shapes {self.X_train.shape} and {self.y_train.shape}"
+            )
+        n = len(self.X_train)
+        if isinstance(self.k, bool) or not isinstance(self.k, int) or not 1 <= self.k <= n:
+            raise InvalidArgumentError(f"k must be an int in [1, {n}], got {self.k!r}")
+
     def predict(self, X) -> np.ndarray:
         """Score queries in blocks of ``KNN_CHUNK_ROWS`` rows, so the distance
         matrix held at once is at most KNN_CHUNK_ROWS x n_train."""
         X = _as_matrix(X)
+        k = self.k
         train_sq = np.sum(self.X_train**2, axis=1)[None, :]
         out = np.empty(X.shape[0])
         for start in range(0, X.shape[0], KNN_CHUNK_ROWS):
             Xq = X[start : start + KNN_CHUNK_ROWS]
             # Euclidean distances; ties go to the lower training-row index.
             d2 = np.sum(Xq**2, axis=1)[:, None] - 2.0 * Xq @ self.X_train.T + train_sq
-            nearest = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
+            # The k nearest are the rows at or below the k-th smallest distance
+            # when exactly k rows are; in index order, a stable sort of their
+            # distances is the first k of a stable sort of the whole row. A row
+            # with a tie at the k-th place, or with fewer than k distances that
+            # are not NaN, sorts in full.
+            near = d2 <= np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
+            exact = np.count_nonzero(near, axis=1) == k
+            rows = np.flatnonzero(exact)[:, None]
+            cols = np.nonzero(near[exact])[1].reshape(-1, k)
+            order = np.argsort(d2[rows, cols], axis=1, kind="stable")
+            nearest = np.empty((len(Xq), k), dtype=np.intp)
+            nearest[exact] = np.take_along_axis(cols, order, axis=1)
+            nearest[~exact] = np.argsort(d2[~exact], axis=1, kind="stable")[:, :k]
             out[start : start + len(Xq)] = np.mean(self.y_train[nearest], axis=1)
         return out
 
@@ -444,12 +467,10 @@ class KnnModel:
         return cls(
             X_train=np.asarray(doc["X_train"], dtype=np.float64),
             y_train=np.asarray(doc["y_train"], dtype=np.float64),
-            k=int(doc["k"]),
+            k=doc["k"],
         )
 
 
 def fit_knn(X, y, k: int = 5) -> KnnModel:
     X, y = _as_matrix(X), _as_vector(y)
-    if not 1 <= k <= X.shape[0]:
-        raise InvalidArgumentError(f"k must be in [1, {X.shape[0]}], got {k}")
     return KnnModel(X_train=X.copy(), y_train=y.copy(), k=k)

@@ -350,10 +350,11 @@ def _read_columns(reader) -> tuple[tuple[Column, ...], dict]:
 def read_csv(path) -> Dataset:
     """Ingest a base or augmented CSV, validating schema and row invariants.
 
-    Text that is not UTF-8, or that the csv module rejects (such as a cell
-    over its field size limit), is an ``InvalidArgumentError`` naming ``path``.
+    A leading UTF-8 byte-order mark is skipped. Text that is not UTF-8, or
+    that the csv module rejects (such as a cell over its field size limit),
+    is an ``InvalidArgumentError`` naming ``path``.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             schema, columns = _read_columns(reader)

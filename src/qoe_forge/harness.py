@@ -30,9 +30,10 @@ REPORT_SCHEMA_VERSION = 1
 
 
 def parse_config_file(path) -> dict:
-    """Flat ``section.key = value`` UTF-8 text config; '#' starts a comment."""
+    """Flat ``section.key = value`` UTF-8 text config; '#' starts a comment.
+    A leading byte-order mark is skipped."""
     flat: dict[str, object] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             lines = fh.readlines()
         except UnicodeDecodeError as exc:

@@ -326,21 +326,28 @@ class TestKnn:
             model.predict(np.array([[0.4], [4.6]])), [1.0, 9.0]
         )
 
-    def test_chunked_matches_per_row_reference_on_ties(self):
+    @pytest.mark.parametrize("k", [1, 7, 120])
+    def test_chunked_matches_per_row_reference_on_ties(self, k):
         rng = np.random.default_rng(43)
         # Repeated training rows on an integer grid: many exactly tied
         # distances, which must still go to the lower training-row index.
         X = np.repeat(rng.integers(0, 3, size=(40, 2)).astype(np.float64), 3, axis=0)
         y = rng.normal(size=len(X))
-        model = fit_knn(X, y, k=7)
+        model = fit_knn(X, y, k=k)
         Xq = rng.integers(0, 3, size=(2 * KNN_CHUNK_ROWS + 5, 2)).astype(np.float64)
+        # The grid centre has a tie across the k-th place for k < n_train,
+        # and a NaN feature makes every distance of its row NaN.
+        Xq = np.vstack([Xq, [[1.0, 1.0], [np.nan, 1.0]]])
         d2 = (
             np.sum(Xq**2, axis=1)[:, None]
             - 2.0 * Xq @ X.T
             + np.sum(X**2, axis=1)[None, :]
         )
+        if k < len(X):
+            centre = np.sort(d2[-2])
+            assert centre[k - 1] == centre[k]
         expected = np.array(
-            [np.mean(y[np.argsort(row, kind="stable")[:7]]) for row in d2]
+            [np.mean(y[np.argsort(row, kind="stable")[:k]]) for row in d2]
         )
         np.testing.assert_array_equal(model.predict(Xq), expected)
 

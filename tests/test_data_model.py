@@ -109,6 +109,18 @@ class TestCsv:
         assert columns_equal(loaded, ds)
         assert dataset_hash(loaded) == dataset_hash(ds)
 
+    @pytest.mark.parametrize("fixture", ["base450", "aug2700"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, request, fixture):
+        # Spreadsheet programs start UTF-8 text with EF BB BF; the header's
+        # first cell once read "\ufeffsession_id" and matched no schema.
+        ds = request.getfixturevalue(fixture)
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        write_csv(ds, plain)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        loaded = read_csv(marked)
+        assert loaded.schema == ds.schema
+        assert dataset_hash(loaded) == dataset_hash(read_csv(plain))
+
     def test_header_mismatch(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("session_id,foo\n1,2\n")

@@ -61,6 +61,13 @@ class TestConfigParsing:
         with pytest.raises(InvalidArgumentError):
             parse_config_file(path)
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # The first key once read "\ufeffdataset.n", an unknown config key.
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+        plain.write_text("dataset.n = 60\naugment.noise_sigma = 1.5\n")
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert parse_config_file(marked) == parse_config_file(plain)
+
     def test_bytes_that_are_not_utf8(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_bytes(b"# r\xe9glages\ndataset.n = 60\n")

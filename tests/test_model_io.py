@@ -359,3 +359,39 @@ def test_tree_too_deep_to_save_is_a_domain_error_and_writes_nothing(tmp_path):
     with pytest.raises(QoeForgeError, match="too deep to save"):
         save_model(path, "decision_tree", model)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    # At k = -1 the slice [:, :-1] averaged 63 neighbours; 100000 averaged all.
+    ("k", -1, r"k must be an int in \[1, 64\], got -1"),
+    ("k", 0, r"k must be an int in \[1, 64\], got 0"),
+    ("k", 65, r"k must be an int in \[1, 64\], got 65"),
+    ("k", 100000, r"k must be an int in \[1, 64\], got 100000"),
+    # These were coerced to 2, 1 and 3.
+    ("k", 2.5, r"k must be an int in \[1, 64\], got 2\.5"),
+    ("k", True, r"k must be an int in \[1, 64\], got True"),
+    ("k", "3", r"k must be an int in \[1, 64\], got '3'"),
+    # A short y_train was an IndexError in predict; a long one went unseen.
+    ("y_train", [0.0] * 63, r"got shapes \(64, 4\) and \(63,\)"),
+    ("y_train", [0.0] * 65, r"got shapes \(64, 4\) and \(65,\)"),
+    ("y_train", [[0.0]] * 64, r"got shapes \(64, 4\) and \(64, 1\)"),
+    ("X_train", [0.0] * 64, r"got shapes \(64,\) and \(64,\)"),
+], ids=["k-1", "k0", "k65", "k100000", "k2.5", "ktrue", "kstring",
+        "y_short", "y_long", "y_2d", "x_1d"])
+def test_knn_document_fields_are_checked(tmp_path, field, value, message):
+    X, y = small_problem()
+    doc = model_to_doc("knn", train_model("knn", X, y, {"k": 3}, seed=0))
+    doc["state"][field] = value
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InvalidArgumentError, match=message):
+        load_model(path)
+
+
+def test_knn_construction_checks_its_fields():
+    X, y = small_problem()
+    with pytest.raises(InvalidArgumentError, match="one y_train value per row"):
+        classical.fit_knn(X, y[:-1], k=3)
+    with pytest.raises(InvalidArgumentError, match="k must be an int"):
+        classical.KnnModel(X_train=X, y_train=y, k=np.float64(3.0))
+    classical.KnnModel(X_train=X, y_train=y, k=64)
