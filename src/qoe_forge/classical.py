@@ -246,6 +246,8 @@ def fit_tree(
     X, y = _as_matrix(X), _as_vector(y)
     if X.shape[0] != y.shape[0]:
         raise InvalidArgumentError("X and y row counts differ")
+    if max_depth is not None and max_depth < 0:
+        raise InvalidArgumentError("max_depth must be None or >= 0")
     if min_samples_leaf < 1:
         raise InvalidArgumentError("min_samples_leaf must be >= 1")
     if n_feature_subset is not None and n_feature_subset < 1:
@@ -431,25 +433,22 @@ class KnnModel:
         X = _as_matrix(X)
         k = self.k
         train_sq = np.sum(self.X_train**2, axis=1)[None, :]
-        out = np.empty(X.shape[0])
+        out = np.full(X.shape[0], np.nan)
         for start in range(0, X.shape[0], KNN_CHUNK_ROWS):
             Xq = X[start : start + KNN_CHUNK_ROWS]
             # Euclidean distances; ties go to the lower training-row index.
             d2 = np.sum(Xq**2, axis=1)[:, None] - 2.0 * Xq @ self.X_train.T + train_sq
-            # The k nearest are the rows at or below the k-th smallest distance
-            # when exactly k rows are; in index order, a stable sort of their
-            # distances is the first k of a stable sort of the whole row. A row
-            # with a tie at the k-th place, or with fewer than k distances that
-            # are not NaN, sorts in full.
-            near = d2 <= np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
-            exact = np.count_nonzero(near, axis=1) == k
-            rows = np.flatnonzero(exact)[:, None]
-            cols = np.nonzero(near[exact])[1].reshape(-1, k)
-            order = np.argsort(d2[rows, cols], axis=1, kind="stable")
-            nearest = np.empty((len(Xq), k), dtype=np.intp)
-            nearest[exact] = np.take_along_axis(cols, order, axis=1)
-            nearest[~exact] = np.argsort(d2[~exact], axis=1, kind="stable")[:, :k]
-            out[start : start + len(Xq)] = np.mean(self.y_train[nearest], axis=1)
+            # The candidates are the rows at or below the k-th smallest
+            # distance, which `nonzero` lists in index order; a stable sort by
+            # (query row, distance) puts each query row's k nearest first. A
+            # row with fewer than k distances that are not NaN has no
+            # candidates and scores NaN.
+            rows, cols = np.nonzero(d2 <= np.partition(d2, k - 1, axis=1)[:, k - 1 : k])
+            order = np.lexsort((d2[rows, cols], rows))
+            counts = np.bincount(rows, minlength=len(Xq))
+            scored = np.flatnonzero(counts)
+            nearest = cols[order][(np.cumsum(counts) - counts)[scored, None] + np.arange(k)]
+            out[start + scored] = np.mean(self.y_train[nearest], axis=1)
         return out
 
     def accepts_width(self, width: int) -> bool:

@@ -46,6 +46,8 @@ class MlpConfig:
             raise InvalidArgumentError(
                 "hidden sizes, attention_hidden, batch size, epochs must be positive"
             )
+        if not self.learning_rate > 0.0:
+            raise InvalidArgumentError("learning_rate must be > 0")
 
 
 @dataclass(frozen=True)
@@ -66,8 +68,13 @@ class TabNetConfig:
             raise InvalidArgumentError("n_steps must be >= 1")
         if self.relaxation < 1.0:
             raise InvalidArgumentError("relaxation must be >= 1")
-        if not 1 <= self.virtual_batch <= self.batch_size:
-            raise InvalidArgumentError("virtual batch must be in [1, batch size]")
+        if not 2 <= self.virtual_batch <= self.batch_size:
+            # A one-row ghost batch normalizes every row to its beta.
+            raise InvalidArgumentError("virtual batch must be in [2, batch size]")
+        if self.max_epochs < 1:
+            raise InvalidArgumentError("max_epochs must be >= 1")
+        if not self.learning_rate > 0.0:
+            raise InvalidArgumentError("learning_rate must be > 0")
         if self.step_dim < 1:
             raise InvalidArgumentError("step_dim must be >= 1")
         if not 0.0 <= self.validation_fraction < 1.0:

@@ -140,12 +140,21 @@ def model_from_doc(doc) -> tuple:
     return kind, model, pre
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def save_model(path, kind: str, model, preprocessor=None) -> None:
-    """Write the model document; a tree too deep to encode writes nothing."""
+    """Write the model document; a tree too deep to encode, or a model with a
+    value JSON cannot hold (NaN, an infinity), writes nothing."""
     try:
-        text = json.dumps(model_to_doc(kind, model, preprocessor), sort_keys=True)
+        text = json.dumps(
+            model_to_doc(kind, model, preprocessor), sort_keys=True, allow_nan=False
+        )
     except RecursionError:
         raise QoeForgeError(f"{kind} model is too deep to save as a JSON document") from None
+    except ValueError as exc:
+        raise QoeForgeError(f"{kind} model cannot be saved as a JSON document: {exc}") from None
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 
@@ -153,8 +162,8 @@ def save_model(path, kind: str, model, preprocessor=None) -> None:
 def load_model(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
-        except ValueError as exc:  # not JSON, or not UTF-8
+            doc = json.load(fh, parse_constant=_reject_constant)
+        except ValueError as exc:  # not strict JSON, or not UTF-8
             raise InvalidArgumentError(f"{path}: not a JSON model document: {exc}") from None
         except RecursionError:
             raise InvalidArgumentError(f"{path}: model document is nested too deeply") from None

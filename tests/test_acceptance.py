@@ -5,6 +5,7 @@ dataset-level checks run on the seed-42 synthetic corpus (450 base sessions,
 2700 augmented rows), matching the documented evaluation protocol.
 """
 
+import hashlib
 import math
 import time
 
@@ -261,7 +262,13 @@ def test_criterion_11_compare_determinism():
     )
     first, _ = run_compare(ExperimentConfig(**cfg_kwargs))
     second, _ = run_compare(ExperimentConfig(**cfg_kwargs))
-    assert report_to_json(first) == report_to_json(second)
+    text = report_to_json(first)
+    assert text == report_to_json(second)
+    # The report's bytes are a contract: generation, augmentation, split,
+    # every fit and the metrics must keep them.
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "1f52201d80fe559bc49a923e18e36e8e735f50e92b69ff118fb1fe7beef83986"
+    )
 
 
 def test_criterion_12_attention_relevance_readout():

@@ -21,7 +21,7 @@ from qoe_forge.classical import (
     fit_tree,
 )
 from qoe_forge.errors import InvalidArgumentError
-from qoe_forge.preprocessing import SplitSpec, fit_transform, split
+from qoe_forge.preprocessing import SplitSpec, fit_transform, split, transform
 
 from oracles import brute_force_best_split, brute_force_tree, brute_force_tree_predict
 
@@ -180,6 +180,8 @@ class TestTree:
             fit_tree(np.zeros((3, 1)), np.zeros(3), min_samples_leaf=2)
         with pytest.raises(InvalidArgumentError):
             fit_tree(np.zeros((4, 1)), np.zeros(4), min_samples_leaf=0)
+        with pytest.raises(InvalidArgumentError, match="max_depth"):
+            fit_tree(np.zeros((4, 1)), np.zeros(4), max_depth=-1)
 
 
 # sha256 of json.dumps(model.to_doc(), sort_keys=True) for trees fit on the
@@ -326,28 +328,51 @@ class TestKnn:
             model.predict(np.array([[0.4], [4.6]])), [1.0, 9.0]
         )
 
-    @pytest.mark.parametrize("k", [1, 7, 120])
-    def test_chunked_matches_per_row_reference_on_ties(self, k):
+    @staticmethod
+    def grid_problem():
         rng = np.random.default_rng(43)
         # Repeated training rows on an integer grid: many exactly tied
         # distances, which must still go to the lower training-row index.
         X = np.repeat(rng.integers(0, 3, size=(40, 2)).astype(np.float64), 3, axis=0)
         y = rng.normal(size=len(X))
-        model = fit_knn(X, y, k=k)
         Xq = rng.integers(0, 3, size=(2 * KNN_CHUNK_ROWS + 5, 2)).astype(np.float64)
-        # The grid centre has a tie across the k-th place for k < n_train,
-        # and a NaN feature makes every distance of its row NaN.
-        Xq = np.vstack([Xq, [[1.0, 1.0], [np.nan, 1.0]]])
+        # The grid centre has a tie across the k-th place for k < n_train.
+        return X, y, np.vstack([Xq, [[1.0, 1.0]]])
+
+    @staticmethod
+    def paper_problem(aug2700):
+        # The augmented default split: the six demographic copies of each
+        # session differ only in their profile, so distances tie.
+        train, test = split(aug2700, SplitSpec())
+        X, y, fitted = fit_transform(train)
+        return X, y, transform(test, fitted)[0]
+
+    @pytest.mark.parametrize("source, k", [
+        pytest.param("grid", 1, id="1"),
+        pytest.param("grid", 7, id="7"),
+        pytest.param("grid", 120, id="120"),
+        pytest.param("aug2700", 5, id="aug2700"),
+    ])
+    def test_chunked_matches_per_row_reference_on_ties(self, source, k, request):
+        if source == "grid":
+            X, y, Xq = self.grid_problem()
+        else:
+            X, y, Xq = self.paper_problem(request.getfixturevalue("aug2700"))
+        # A NaN feature makes every distance of its row NaN: no k nearest.
+        nan_row = np.full((1, X.shape[1]), 1.0)
+        nan_row[0, 0] = np.nan
+        Xq = np.vstack([Xq, nan_row])
+        model = fit_knn(X, y, k=k)
         d2 = (
             np.sum(Xq**2, axis=1)[:, None]
             - 2.0 * Xq @ X.T
             + np.sum(X**2, axis=1)[None, :]
         )
         if k < len(X):
-            centre = np.sort(d2[-2])
-            assert centre[k - 1] == centre[k]
+            ranked = np.sort(d2[:-1], axis=1)
+            assert np.any(ranked[:, k - 1] == ranked[:, k])
         expected = np.array(
-            [np.mean(y[np.argsort(row, kind="stable")[:k]]) for row in d2]
+            [np.mean(y[np.argsort(row, kind="stable")[:k]]) for row in d2[:-1]] + [np.nan]
         )
         np.testing.assert_array_equal(model.predict(Xq), expected)
 

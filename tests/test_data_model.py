@@ -50,6 +50,16 @@ class TestGeneration:
         assert base450.column_names()[0] == "session_id"
         assert base450.column("session_id").tolist() == list(range(450))
 
+    def test_paper_corpus_hashes_are_pinned(self, base450, aug2700):
+        # Generation, the noise streams and CSV emission must keep the paper
+        # corpus byte for byte: reports embed these hashes.
+        assert dataset_hash(base450) == (
+            "9bc61256e4610436bae2fe71752b13ad5ce84957ab8a62597946eee86ef65ecf"
+        )
+        assert dataset_hash(aug2700) == (
+            "95a2bcb27a15a3bc6974ee1564ac698f74e39a223b302f8c886ac4fb4473a79b"
+        )
+
     def test_row_invariants_hold(self):
         ds = generate_base_dataset(2000, seed=3)
         ds.validate_rows()  # must not raise

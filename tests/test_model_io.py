@@ -266,6 +266,26 @@ class TestModelParams:
         with pytest.raises(InvalidArgumentError):
             train_model(kind, X, y, raw, seed=0)
 
+    @pytest.mark.parametrize("kind, raw, message", [
+        # Each of these trained without error and left the model at its
+        # random init, learning the inverse, or predicting a constant.
+        ("tabnet", {"max_epochs": 0}, "max_epochs must be >= 1"),
+        ("tabnet", {"learning_rate": 0.0}, "learning_rate must be > 0"),
+        ("tabnet", {"virtual_batch": 1}, r"virtual batch must be in \[2, batch size\]"),
+        ("mlp", {"learning_rate": 0.0}, "learning_rate must be > 0"),
+        ("mlp", {"learning_rate": -0.01}, "learning_rate must be > 0"),
+        ("attention_mlp", {"learning_rate": 0.0}, "learning_rate must be > 0"),
+        ("decision_tree", {"max_depth": -1}, "max_depth must be None or >= 0"),
+        ("random_forest", {"max_depth": -1}, "max_depth must be None or >= 0"),
+        ("gradient_boosting", {"max_depth": -1}, "max_depth must be None or >= 0"),
+    ], ids=["tabnet-max_epochs0", "tabnet-lr0", "tabnet-virtual_batch1", "mlp-lr0",
+            "mlp-lr-0.01", "attention_mlp-lr0", "decision_tree-max_depth-1",
+            "random_forest-max_depth-1", "gradient_boosting-max_depth-1"])
+    def test_params_that_leave_a_model_untrained_are_domain_errors(self, kind, raw, message):
+        X, y = small_problem()
+        with pytest.raises(InvalidArgumentError, match=message):
+            train_model(kind, X, y, {**FAST_PARAMS.get(kind, {}), **raw}, seed=0)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # nan/inf probes
     def test_out_of_range_values_are_domain_errors(self):
         X, y = small_problem()
@@ -301,6 +321,15 @@ class TestModelParams:
     ('{"schema_version": 1, "kind": "mlp", "config": {"hidden": "x"}, '
      '"n_features": 2, "state": {}}\n', "models.mlp.hidden"),
     ('{"schema_version": 2, "kind": "knn", "state": {}}\n', "version 2"),
+    # Python's json reads these non-standard literals as floats: a NaN
+    # threshold sent every row right, an infinite one every row left.
+    *(
+        ('{"schema_version": 1, "kind": "decision_tree", "state": {"root": '
+         f'{{"feature": 0, "threshold": {literal}, "left": {{"value": 0.0}}, '
+         '"right": {"value": 1.0}}, "max_depth": 1, "min_samples_leaf": 1}}\n',
+         f"not a JSON model document: {literal} is not a JSON number")
+        for literal in ("NaN", "Infinity", "-Infinity")
+    ),
 ])
 def test_bad_model_documents_are_domain_errors(tmp_path, text, message):
     path = tmp_path / "m.json"
@@ -357,6 +386,16 @@ def test_tree_too_deep_to_save_is_a_domain_error_and_writes_nothing(tmp_path):
     model = classical.fit_tree(X, y, max_depth=None, min_samples_leaf=1)
     path = tmp_path / "m.json"
     with pytest.raises(QoeForgeError, match="too deep to save"):
+        save_model(path, "decision_tree", model)
+    assert not path.exists()
+
+
+def test_model_with_a_non_finite_value_is_a_domain_error_and_writes_nothing(tmp_path):
+    X, y = small_problem()
+    model = classical.fit_tree(X, y, max_depth=1)
+    model.root.threshold = float("nan")
+    path = tmp_path / "m.json"
+    with pytest.raises(QoeForgeError, match="cannot be saved as a JSON document"):
         save_model(path, "decision_tree", model)
     assert not path.exists()
 
