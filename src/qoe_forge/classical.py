@@ -15,6 +15,30 @@ import numpy as np
 from .errors import InvalidArgumentError, NumericalError
 
 
+# The range rule of each scalar fit param, by name: (test, what a value must
+# be). Every fit checks its own params against this table, and
+# ``model_io.model_params`` checks a config's params against it before any fit.
+_FIT_PARAM_RULES = {
+    "max_depth": (lambda v: v is None or v >= 0, "None or >= 0"),
+    "min_samples_leaf": (lambda v: v >= 1, ">= 1"),
+    "n_feature_subset": (lambda v: v is None or v >= 1, ">= 1"),
+    "n_trees": (lambda v: v >= 1, ">= 1"),
+    "seed": (lambda v: v >= 0, ">= 0"),
+    "n_stages": (lambda v: v >= 1, ">= 1"),
+    "learning_rate": (lambda v: 0.0 < v <= 1.0, "in (0,1]"),
+}
+
+
+def check_fit_params(**params) -> None:
+    """Raise ``InvalidArgumentError`` for the first param outside its range;
+    a param without a rule is not checked."""
+    for name, value in params.items():
+        if name in _FIT_PARAM_RULES:
+            ok, bound = _FIT_PARAM_RULES[name]
+            if not ok(value):
+                raise InvalidArgumentError(f"{name} must be {bound}")
+
+
 def _as_matrix(X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -246,12 +270,8 @@ def fit_tree(
     X, y = _as_matrix(X), _as_vector(y)
     if X.shape[0] != y.shape[0]:
         raise InvalidArgumentError("X and y row counts differ")
-    if max_depth is not None and max_depth < 0:
-        raise InvalidArgumentError("max_depth must be None or >= 0")
-    if min_samples_leaf < 1:
-        raise InvalidArgumentError("min_samples_leaf must be >= 1")
-    if n_feature_subset is not None and n_feature_subset < 1:
-        raise InvalidArgumentError("n_feature_subset must be >= 1")
+    check_fit_params(max_depth=max_depth, min_samples_leaf=min_samples_leaf,
+                     n_feature_subset=n_feature_subset)
     if n_feature_subset is not None and n_feature_subset < X.shape[1] and rng is None:
         raise InvalidArgumentError("n_feature_subset below the feature count needs an rng")
     if X.shape[0] < 2 * min_samples_leaf:
@@ -305,10 +325,7 @@ def fit_forest(
 ) -> ForestModel:
     """Bagged trees with a re-drawn random feature subset at every split."""
     X, y = _as_matrix(X), _as_vector(y)
-    if n_trees < 1:
-        raise InvalidArgumentError("n_trees must be >= 1")
-    if seed < 0:
-        raise InvalidArgumentError("seed must be >= 0")
+    check_fit_params(n_trees=n_trees, seed=seed)
     n, d = X.shape
     if n_feature_subset is None:
         n_feature_subset = max(1, d // 3)
@@ -381,10 +398,7 @@ def fit_boosted(
 ) -> BoostedModel:
     """Stagewise residual fitting: F_m = F_{m-1} + eta * h_m."""
     X, y = _as_matrix(X), _as_vector(y)
-    if n_stages < 1:
-        raise InvalidArgumentError("n_stages must be >= 1")
-    if not 0.0 < learning_rate <= 1.0:
-        raise InvalidArgumentError("learning_rate must be in (0,1]")
+    check_fit_params(n_stages=n_stages, learning_rate=learning_rate)
     initial = float(np.mean(y))
     pred = np.full(len(y), initial)
     stages = []

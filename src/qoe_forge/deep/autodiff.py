@@ -38,8 +38,12 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, g):
+        # The first gradient is kept as it is, not copied: a VJP may hand the
+        # same array to several inputs (``add`` passes ``g`` through), which
+        # is safe because no code writes to a ``.grad`` in place. A second
+        # gradient makes a new array.
         if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64)
+            self.grad = g
         else:
             self.grad = self.grad + g
 
@@ -166,7 +170,9 @@ def mse(pred: Tensor, target: np.ndarray) -> Tensor:
 def mask_entropy(m: Tensor, eps: float = 1e-10) -> Tensor:
     """Mean over rows of the entropy -sum(m * log(m + eps)) of mask rows."""
     n = m.shape[0]
+    shifted = m.data + eps
+    log_m = np.log(shifted)
     return node(
-        np.mean(-np.sum(m.data * np.log(m.data + eps), axis=1)),
-        (m, lambda g: g * (-(np.log(m.data + eps) + m.data / (m.data + eps))) / n),
+        np.mean(-np.sum(m.data * log_m, axis=1)),
+        (m, lambda g: g * (-(log_m + m.data / shifted)) / n),
     )

@@ -54,6 +54,20 @@ class GhostBatchNorm:
             chunks = chunks[:-2] + [merged]
         return chunks
 
+    def _runs(self, n: int) -> list[tuple[int, int, int]]:
+        """``_chunks(n)`` grouped into runs of equal size: (first row, chunks,
+        rows per chunk). There are at most two: the full virtual batches, then
+        a ragged or merged tail."""
+        runs: list[tuple[int, int, int]] = []
+        for sl in self._chunks(n):
+            rows = sl.stop - sl.start
+            if runs and runs[-1][2] == rows:
+                start, count, _ = runs[-1]
+                runs[-1] = (start, count + 1, rows)
+            else:
+                runs.append((sl.start, 1, rows))
+        return runs
+
     def __call__(self, x: Tensor, training: bool) -> Tensor:
         gamma, beta, eps = self.gamma, self.beta, self.eps
 
@@ -65,55 +79,64 @@ class GhostBatchNorm:
                         (gamma, lambda g: (g * xhat).sum(axis=0)),
                         (beta, lambda g: g.sum(axis=0)))
 
-        n = x.shape[0]
-        chunks = self._chunks(n)
-        out_data = np.empty_like(x.data)
-        stats = []
-        for sl in chunks:
-            xc = x.data[sl]
-            mu = xc.mean(axis=0)
-            var = xc.var(axis=0)
+        # Each run of equal chunks is one (chunks, rows, dim) block. Every
+        # chunk's statistics reduce over its own rows, with the arithmetic of
+        # ``mean`` and ``var`` on that chunk alone, so each value is bit for
+        # bit that of a loop over the chunks.
+        n, dim = x.shape
+        blocks = []
+        outs = []
+        for start, count, m in self._runs(n):
+            sl, shape = slice(start, start + count * m), (count, m, dim)
+            xb = x.data[sl].reshape(shape)
+            mu = np.add.reduce(xb, axis=1, keepdims=True) / m
+            xc = xb - mu
+            var = np.add.reduce(xc * xc, axis=1, keepdims=True) / m
             inv = 1.0 / np.sqrt(var + eps)
-            xhat = (xc - mu) * inv
-            out_data[sl] = xhat * gamma.data + beta.data
-            stats.append((sl, xhat, inv))
-            self.running_mean = (
-                (1.0 - self.momentum) * self.running_mean + self.momentum * mu
-            )
-            self.running_var = (
-                (1.0 - self.momentum) * self.running_var + self.momentum * var
-            )
+            xhat = xc * inv
+            outs.append((xhat * gamma.data + beta.data).reshape(-1, dim))
+            blocks.append((sl, shape, xhat, inv))
+            for mu_c, var_c in zip(mu[:, 0], var[:, 0]):
+                self.running_mean = (
+                    (1.0 - self.momentum) * self.running_mean + self.momentum * mu_c
+                )
+                self.running_var = (
+                    (1.0 - self.momentum) * self.running_var + self.momentum * var_c
+                )
+        out = outs[0] if len(outs) == 1 else np.concatenate(outs)
 
         def vjp_x(g):
-            gx = np.empty_like(g)
-            for sl, xhat, inv in stats:
-                gc = g[sl]
-                m = gc.shape[0]
-                dxhat = gc * gamma.data
-                gx[sl] = (
+            gx = []
+            for sl, shape, xhat, inv in blocks:
+                m = shape[1]
+                dxhat = g[sl].reshape(shape) * gamma.data
+                gx.append((
                     inv
                     / m
                     * (
                         m * dxhat
-                        - dxhat.sum(axis=0)
-                        - xhat * (dxhat * xhat).sum(axis=0)
+                        - np.add.reduce(dxhat, axis=1, keepdims=True)
+                        - xhat * np.add.reduce(dxhat * xhat, axis=1, keepdims=True)
                     )
-                )
-            return gx
+                ).reshape(-1, dim))
+            return gx[0] if len(gx) == 1 else np.concatenate(gx)
 
-        def vjp_gamma(g):
-            dgamma = np.zeros_like(gamma.data)
-            for sl, xhat, _ in stats:
-                dgamma += (g[sl] * xhat).sum(axis=0)
-            return dgamma
+        def chunk_sums(parts):
+            """The column sums of every chunk of the (chunks, rows, dim)
+            ``parts``, added up chunk by chunk from zero."""
+            total = np.zeros(dim)
+            for part in parts:
+                for row in np.add.reduce(part, axis=1):
+                    total += row
+            return total
 
-        def vjp_beta(g):
-            dbeta = np.zeros_like(beta.data)
-            for sl, _, _ in stats:
-                dbeta += g[sl].sum(axis=0)
-            return dbeta
-
-        return node(out_data, (x, vjp_x), (gamma, vjp_gamma), (beta, vjp_beta))
+        return node(
+            out,
+            (x, vjp_x),
+            (gamma, lambda g: chunk_sums(g[sl].reshape(shape) * xhat
+                                         for sl, shape, xhat, _ in blocks)),
+            (beta, lambda g: chunk_sums(g[sl].reshape(shape) for sl, shape, _, _ in blocks)),
+        )
 
 
 class Adam:
@@ -135,11 +158,22 @@ class Adam:
             p.zero_grad()
 
     def step(self):
+        """One update of every parameter from its ``.grad`` (zero when None).
+
+        ``m`` and ``v`` are updated in place: ``m *= beta1; m += (1 - beta1)
+        * g`` is ``m = beta1 * m + (1 - beta1) * g`` bit for bit, since each
+        operation keeps its order. ``g`` is only read, as a gradient array may
+        be shared by several parameters.
+        """
         self.t += 1
-        for i, p in enumerate(self.params):
+        b1, b2 = self.beta1, self.beta2
+        c1, c2 = 1.0 - b1**self.t, 1.0 - b2**self.t
+        for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[i] / (1.0 - self.beta1**self.t)
-            v_hat = self.v[i] / (1.0 - self.beta2**self.t)
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            m_hat = m / c1
+            v_hat = v / c2
             p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)

@@ -20,6 +20,7 @@ from .autodiff import (
     mask_entropy,
     mse,
     mul,
+    node,
     relu,
     scale,
     sigmoid,
@@ -270,7 +271,7 @@ class TabNetLite(Network):
             scores = mul(prior, bn_a(lin_a(x), training))
             mask = sparsemax(scores)
             masks.append(mask)
-            relaxed = add(scale(mask, -1.0), Tensor(np.full((n, d), self.cfg.relaxation)))
+            relaxed = node(self.cfg.relaxation - mask.data, (mask, lambda g: -g))
             prior = mul(prior, relaxed)
 
             lin1, bn1 = self.blocks[f"transform1{t}"]

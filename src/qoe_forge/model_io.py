@@ -69,12 +69,25 @@ def _spec(kind) -> ModelKind:
 
 def model_params(kind: str, raw: dict | None) -> dict:
     """Check ``raw`` against the params ``kind`` declares and convert each value
-    to its declared type; a bad name or value names ``models.<kind>.<param>``."""
+    to its declared type; a bad name or value names ``models.<kind>.<param>``.
+
+    The values are then range-checked by the rules the fit applies: a
+    network's config dataclass, or the classical fit param rules. A value
+    out of range names ``models.<kind>``."""
     if kind not in PARAM_TYPES:
         raise InvalidArgumentError(
             f"models.{kind}: unknown model kind; known: {', '.join(ALL_KINDS)}"
         )
-    return check_params(f"models.{kind}", PARAM_TYPES[kind], raw or {})
+    params = check_params(f"models.{kind}", PARAM_TYPES[kind], raw or {})
+    config = MODELS[kind].config
+    try:
+        if config is not None:
+            config(**params)
+        else:
+            classical.check_fit_params(**params)
+    except InvalidArgumentError as exc:
+        raise InvalidArgumentError(f"models.{kind}: {exc}") from None
+    return params
 
 
 def train_model(kind: str, X, y, params: dict | None = None, seed: int = 0):

@@ -178,3 +178,40 @@ def row_loop_csv_text(dataset) -> str:
         csv.writer(buf, lineterminator="\r\n").writerow(record)
         text.append(buf.getvalue()[:-2] + "\n")
     return "".join(text)
+
+
+def loop_ghost_batch_norm(x, g, gamma, beta, running_mean, running_var,
+                          virtual_batch, momentum=0.1, eps=1e-5):
+    """Training-mode ghost batch norm, one virtual batch at a time, and its
+    VJPs for the upstream gradient ``g``.
+
+    A trailing chunk of fewer than 2 rows is merged into its predecessor.
+    Returns (out, running_mean, running_var, dx, dgamma, dbeta).
+    """
+    n = x.shape[0]
+    chunks = [slice(s, min(s + virtual_batch, n)) for s in range(0, n, virtual_batch)]
+    if len(chunks) > 1 and chunks[-1].stop - chunks[-1].start < 2:
+        chunks = chunks[:-2] + [slice(chunks[-2].start, n)]
+    out = np.empty_like(x)
+    stats = []
+    for sl in chunks:
+        xc = x[sl]
+        mu = xc.mean(axis=0)
+        var = xc.var(axis=0)
+        inv = 1.0 / np.sqrt(var + eps)
+        xhat = (xc - mu) * inv
+        out[sl] = xhat * gamma + beta
+        stats.append((sl, xhat, inv))
+        running_mean = (1.0 - momentum) * running_mean + momentum * mu
+        running_var = (1.0 - momentum) * running_var + momentum * var
+    dx = np.empty_like(g)
+    dgamma = np.zeros_like(gamma)
+    dbeta = np.zeros_like(beta)
+    for sl, xhat, inv in stats:
+        gc = g[sl]
+        m = gc.shape[0]
+        dxhat = gc * gamma
+        dx[sl] = inv / m * (m * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0))
+        dgamma += (gc * xhat).sum(axis=0)
+        dbeta += gc.sum(axis=0)
+    return out, running_mean, running_var, dx, dgamma, dbeta

@@ -33,6 +33,8 @@ from qoe_forge.deep.networks import (
 )
 from qoe_forge.errors import DivergenceError
 
+from oracles import loop_ghost_batch_norm
+
 
 def fd_grad(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     """Central finite differences of a scalar function of an array."""
@@ -232,6 +234,47 @@ class TestLayers:
         numeric = fd_grad(value, x.data)
         assert max_rel_error(x.grad, numeric) < 1e-5
 
+    @pytest.mark.parametrize("n, vb, dim", [
+        (48, 16, 5),    # q * vb: three full virtual batches
+        (53, 16, 5),    # q * vb + r, r >= 2: a ragged tail
+        (49, 16, 5),    # q * vb + 1: the last row merged into a 17-row chunk
+        (17, 16, 3),    # vb + 1: one merged chunk
+        (11, 16, 5),    # n < vb
+        (2, 16, 4),     # the smallest batch
+        (257, 128, 1),  # one column sums pairwise; a 129-row merged tail
+        # Ten equal chunks of one column: one reduction over their sums would
+        # add them pairwise, not chunk by chunk.
+        (160, 16, 1),
+        (173, 16, 1),
+        (300, 128, 13),
+        (256, 128, 32),
+    ])
+    @pytest.mark.parametrize("upstream", ["normal", "zero", "negative_zero"])
+    def test_gbn_matches_per_chunk_loop_bitwise(self, n, vb, dim, upstream):
+        rng = np.random.default_rng(n * 100 + dim)
+        bn = GhostBatchNorm(dim, virtual_batch=vb)
+        bn.gamma.data = rng.normal(1.0, 0.3, dim)
+        bn.beta.data = rng.normal(0.0, 0.3, dim)
+        bn.running_mean = rng.normal(size=dim)
+        bn.running_var = rng.uniform(0.5, 2.0, dim)
+        x = rng.normal(3.0, 2.0, (n, dim))
+        g = {"normal": rng.normal(size=(n, dim)), "zero": np.zeros((n, dim)),
+             "negative_zero": np.full((n, dim), -0.0)}[upstream]
+        expected = loop_ghost_batch_norm(x, g, bn.gamma.data, bn.beta.data,
+                                         bn.running_mean, bn.running_var, vb)
+
+        xt = Tensor(x, requires_grad=True)
+        out = bn(xt, training=True)
+        grads = {id(t): vjp(g) for t, vjp in out.inputs}
+        got = (out.data, bn.running_mean, bn.running_var,
+               grads[id(xt)], grads[id(bn.gamma)], grads[id(bn.beta)])
+        for name, a, b in zip(("out", "running_mean", "running_var", "dx", "dgamma",
+                               "dbeta"), got, expected):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        if upstream != "normal":
+            # Chunk sums are added to +0.0, so no -0.0 reaches a parameter.
+            assert not np.signbit(got[4]).any() and not np.signbit(got[5]).any()
+
     def test_adam_first_step_oracle(self):
         p = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
         opt = Adam([p], lr=0.1)
@@ -243,6 +286,43 @@ class TestLayers:
             p.data, [[1.0 - 0.1 * (0.5 / (0.5 + 1e-8)), 2.0 + 0.1 * (2.0 / (2.0 + 1e-8))]],
             atol=1e-9,
         )
+
+    def test_adam_matches_textbook_steps_bitwise(self):
+        rng = np.random.default_rng(12)
+        shapes = [(3, 4), (4,), (2, 2)]
+        params = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+        lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
+        opt = Adam(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
+        ref_p = [p.data.copy() for p in params]
+        ref_m = [np.zeros(s) for s in shapes]
+        ref_v = [np.zeros(s) for s in shapes]
+        for t in range(1, 8):
+            # The last parameter has no gradient on odd steps.
+            grads = [rng.normal(size=s) for s in shapes]
+            if t % 2:
+                grads[-1] = None
+            for p, g in zip(params, grads):
+                p.grad = g
+            opt.step()
+            for i, g in enumerate(grads):
+                g = np.zeros(shapes[i]) if g is None else g
+                ref_m[i] = b1 * ref_m[i] + (1.0 - b1) * g
+                ref_v[i] = b2 * ref_v[i] + (1.0 - b2) * g * g
+                m_hat = ref_m[i] / (1.0 - b1**t)
+                v_hat = ref_v[i] / (1.0 - b2**t)
+                ref_p[i] = ref_p[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+                assert params[i].data.tobytes() == ref_p[i].tobytes(), (t, i)
+
+    def test_adam_step_writes_no_grad(self):
+        a = Tensor(np.array([[1.5]]), requires_grad=True)
+        b = Tensor(np.array([[-0.5]]), requires_grad=True)
+        add(a, b).backward()
+        # add hands its gradient to both inputs, which keep it uncopied.
+        assert a.grad is b.grad
+        before = a.grad.copy()
+        Adam([a, b], lr=0.1).step()
+        np.testing.assert_array_equal(a.grad, before)
+        assert a.grad is b.grad
 
 
 def tiny_regression(seed=0, n=64, d=4):

@@ -326,6 +326,32 @@ class TestCli:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("models.tabnet.max_epochs", "0", "models.tabnet: max_epochs must be >= 1"),
+        ("models.mlp.learning_rate", "0.0", "models.mlp: learning_rate must be > 0"),
+        ("models.decision_tree.max_depth", "-1",
+         "models.decision_tree: max_depth must be None or >= 0"),
+        ("models.random_forest.n_trees", "0", "models.random_forest: n_trees must be >= 1"),
+        ("models.gradient_boosting.learning_rate", "1.5",
+         "models.gradient_boosting: learning_rate must be in (0,1]"),
+    ])
+    def test_out_of_range_model_param_exits_1_before_any_fit(self, tmp_path, capsys,
+                                                             monkeypatch, key, value,
+                                                             message):
+        # compare once ran every other roster model, then exited 0 with an
+        # "error" entry for this one in report.json.
+        def no_data(cfg):
+            raise AssertionError("the config was accepted")
+
+        monkeypatch.setattr("qoe_forge.harness.load_base_dataset", no_data)
+        out = tmp_path / "out"
+        cfg = fast_config(tmp_path, f"{key} = {value}\n")
+        assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}\n")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--noise-sigma", "--adjustment-scale"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_augment_non_finite_flag_exits_1(self, tmp_path, capsys, flag, value):
