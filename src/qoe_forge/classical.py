@@ -22,6 +22,7 @@ _FIT_PARAM_RULES = {
     "max_depth": (lambda v: v is None or v >= 0, "None or >= 0"),
     "min_samples_leaf": (lambda v: v >= 1, ">= 1"),
     "n_feature_subset": (lambda v: v is None or v >= 1, ">= 1"),
+    "k": (lambda v: v >= 1, ">= 1"),
     "n_trees": (lambda v: v >= 1, ">= 1"),
     "seed": (lambda v: v >= 0, ">= 0"),
     "n_stages": (lambda v: v >= 1, ">= 1"),
@@ -46,11 +47,20 @@ def _as_matrix(X) -> np.ndarray:
     return X
 
 
-def _as_vector(y) -> np.ndarray:
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 1:
-        raise InvalidArgumentError(f"y must be 1-D, got shape {y.shape}")
-    return y
+def _training_data(X, y, **params) -> tuple[np.ndarray, np.ndarray]:
+    """A fit's ``X`` and ``y`` as float arrays, checked with its ``params``:
+    ``X`` is 2-D, ``y`` is 1-D with one value per row, and a tree fit (one
+    with a ``min_samples_leaf``) has rows enough for a leaf on either side."""
+    X, y = _as_matrix(X), np.asarray(y, dtype=np.float64)
+    if y.shape != X.shape[:1]:
+        raise InvalidArgumentError(
+            f"y must be 1-D with one value per row of X, got shapes {X.shape} and {y.shape}"
+        )
+    check_fit_params(**params)
+    leaf = params.get("min_samples_leaf")
+    if leaf is not None and X.shape[0] < 2 * leaf:
+        raise InvalidArgumentError(f"need at least {2 * leaf} rows, got {X.shape[0]}")
+    return X, y
 
 
 # ---------------------------------------------------------------------------
@@ -79,9 +89,7 @@ class LinearModel:
 
 def fit_linear(X, y, ridge_jitter: float = 1e-8) -> LinearModel:
     """Least squares via normal equations with a ridge jitter on the Gram diagonal."""
-    X, y = _as_matrix(X), _as_vector(y)
-    if X.shape[0] != y.shape[0]:
-        raise InvalidArgumentError("X and y row counts differ")
+    X, y = _training_data(X, y)
     n, d = X.shape
     A = np.column_stack([X, np.ones(n)])
     gram = A.T @ A + ridge_jitter * np.eye(d + 1)
@@ -173,11 +181,14 @@ def _best_split(X, y, min_samples_leaf, feature_indices):
     return int(feature_indices[f]), float(0.5 * (xs[ki - 1, f] + xs[ki, f]))
 
 
-def _grow_tree(X, y, max_depth, min_samples_leaf, n_feature_subset, rng) -> TreeNode:
-    """Grow depth-first from an explicit stack of (node, row indices, depth).
+def _grow_tree(X, y, max_depth, min_samples_leaf, n_feature_subset=None, rng=None) -> TreeModel:
+    """Grow a tree on checked training data, depth-first from an explicit
+    stack of (node, row indices, depth).
 
-    Left children are popped before right ones, so nodes are split (and the
-    per-split feature subsets drawn from ``rng``) in preorder.
+    Each split searches every feature, or a subset of ``n_feature_subset``
+    drawn from ``rng`` when that is below the feature count. Left children
+    are popped before right ones, so nodes are split (and the subsets drawn)
+    in preorder.
     """
     d = X.shape[1]
     root = TreeNode()
@@ -207,7 +218,7 @@ def _grow_tree(X, y, max_depth, min_samples_leaf, n_feature_subset, rng) -> Tree
         mask = X[rows, node.feature] <= node.threshold
         stack.append((node.right, rows[~mask], depth + 1))
         stack.append((node.left, rows[mask], depth + 1))
-    return root
+    return TreeModel(root=root, max_depth=max_depth, min_samples_leaf=min_samples_leaf)
 
 
 @dataclass
@@ -259,27 +270,10 @@ class TreeModel:
         )
 
 
-def fit_tree(
-    X,
-    y,
-    max_depth: int | None = 12,
-    min_samples_leaf: int = 2,
-    n_feature_subset: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> TreeModel:
-    X, y = _as_matrix(X), _as_vector(y)
-    if X.shape[0] != y.shape[0]:
-        raise InvalidArgumentError("X and y row counts differ")
-    check_fit_params(max_depth=max_depth, min_samples_leaf=min_samples_leaf,
-                     n_feature_subset=n_feature_subset)
-    if n_feature_subset is not None and n_feature_subset < X.shape[1] and rng is None:
-        raise InvalidArgumentError("n_feature_subset below the feature count needs an rng")
-    if X.shape[0] < 2 * min_samples_leaf:
-        raise InvalidArgumentError(
-            f"need at least {2 * min_samples_leaf} rows, got {X.shape[0]}"
-        )
-    root = _grow_tree(X, y, max_depth, min_samples_leaf, n_feature_subset, rng)
-    return TreeModel(root=root, max_depth=max_depth, min_samples_leaf=min_samples_leaf)
+def fit_tree(X, y, max_depth: int | None = 12, min_samples_leaf: int = 2) -> TreeModel:
+    """One tree whose every split searches every feature."""
+    X, y = _training_data(X, y, max_depth=max_depth, min_samples_leaf=min_samples_leaf)
+    return _grow_tree(X, y, max_depth, min_samples_leaf)
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +318,10 @@ def fit_forest(
     bootstrap: bool = True,
 ) -> ForestModel:
     """Bagged trees with a re-drawn random feature subset at every split."""
-    X, y = _as_matrix(X), _as_vector(y)
-    check_fit_params(n_trees=n_trees, seed=seed)
+    X, y = _training_data(
+        X, y, n_trees=n_trees, n_feature_subset=n_feature_subset, seed=seed,
+        max_depth=max_depth, min_samples_leaf=min_samples_leaf,
+    )
     n, d = X.shape
     if n_feature_subset is None:
         n_feature_subset = max(1, d // 3)
@@ -337,16 +333,7 @@ def fit_forest(
             Xb, yb = X[idx], y[idx]
         else:
             Xb, yb = X, y
-        trees.append(
-            fit_tree(
-                Xb,
-                yb,
-                max_depth=max_depth,
-                min_samples_leaf=min_samples_leaf,
-                n_feature_subset=n_feature_subset,
-                rng=rng,
-            )
-        )
+        trees.append(_grow_tree(Xb, yb, max_depth, min_samples_leaf, n_feature_subset, rng))
     return ForestModel(trees=trees, n_feature_subset=n_feature_subset)
 
 
@@ -397,17 +384,16 @@ def fit_boosted(
     min_samples_leaf: int = 1,
 ) -> BoostedModel:
     """Stagewise residual fitting: F_m = F_{m-1} + eta * h_m."""
-    X, y = _as_matrix(X), _as_vector(y)
-    check_fit_params(n_stages=n_stages, learning_rate=learning_rate)
+    X, y = _training_data(
+        X, y, n_stages=n_stages, learning_rate=learning_rate,
+        max_depth=max_depth, min_samples_leaf=min_samples_leaf,
+    )
     initial = float(np.mean(y))
     pred = np.full(len(y), initial)
     stages = []
     curve = []
     for _ in range(n_stages):
-        residuals = y - pred
-        stage = fit_tree(
-            X, residuals, max_depth=max_depth, min_samples_leaf=min_samples_leaf
-        )
+        stage = _grow_tree(X, y - pred, max_depth, min_samples_leaf)
         pred = pred + learning_rate * stage.predict(X)
         stages.append(stage)
         curve.append(float(np.mean((y - pred) ** 2)))
@@ -485,5 +471,6 @@ class KnnModel:
 
 
 def fit_knn(X, y, k: int = 5) -> KnnModel:
-    X, y = _as_matrix(X), _as_vector(y)
-    return KnnModel(X_train=X.copy(), y_train=y.copy(), k=k)
+    return KnnModel(
+        X_train=np.array(X, dtype=np.float64), y_train=np.array(y, dtype=np.float64), k=k
+    )

@@ -26,7 +26,7 @@ from .harness import (
 )
 from .metrics import metric_block
 from .model_io import ALL_KINDS, load_model, save_model, train_model
-from .preprocessing import SplitSpec, fit_transform, split, transform
+from .preprocessing import SPLIT_MODES, SplitSpec, fit_transform, split, transform
 
 ENV_SEED = "QOE_FORGE_SEED"
 
@@ -167,16 +167,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("augment", help="6x demographic augmentation of a base CSV")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--noise-sigma", type=float, default=2.0)
-    p.add_argument("--adjustment-scale", type=float, default=12.0)
+    p.add_argument("--noise-sigma", type=float, default=AugmentationConfig.noise_sigma)
+    p.add_argument("--adjustment-scale", type=float,
+                   default=AugmentationConfig.adjustment_scale)
     seed_option(p)
     p.set_defaults(fn=cmd_augment)
 
     p = sub.add_parser("split", help="train/test split of a dataset CSV")
     p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--test-fraction", type=float, default=0.2)
-    p.add_argument("--mode", choices=["grouped_by_session", "iid"],
-                   default="grouped_by_session")
+    p.add_argument("--test-fraction", type=float, default=SplitSpec.test_fraction)
+    p.add_argument("--mode", choices=SPLIT_MODES, default=SplitSpec.mode)
     p.add_argument("--out-train", required=True)
     p.add_argument("--out-test", required=True)
     seed_option(p)

@@ -45,27 +45,18 @@ class GhostBatchNorm:
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         return [("gamma", self.gamma), ("beta", self.beta)]
 
-    def _chunks(self, n: int) -> list[slice]:
-        vb = self.virtual_batch
-        starts = list(range(0, n, vb))
-        chunks = [slice(s, min(s + vb, n)) for s in starts]
-        if len(chunks) > 1 and (chunks[-1].stop - chunks[-1].start) < 2:
-            merged = slice(chunks[-2].start, chunks[-1].stop)
-            chunks = chunks[:-2] + [merged]
-        return chunks
-
     def _runs(self, n: int) -> list[tuple[int, int, int]]:
-        """``_chunks(n)`` grouped into runs of equal size: (first row, chunks,
-        rows per chunk). There are at most two: the full virtual batches, then
-        a ragged or merged tail."""
-        runs: list[tuple[int, int, int]] = []
-        for sl in self._chunks(n):
-            rows = sl.stop - sl.start
-            if runs and runs[-1][2] == rows:
-                start, count, _ = runs[-1]
-                runs[-1] = (start, count + 1, rows)
-            else:
-                runs.append((sl.start, 1, rows))
+        """The training chunks of ``n`` rows as runs of equal size: (first
+        row, chunks, rows per chunk). There are at most two: the full virtual
+        batches, then a ragged tail, or the last full batch with a one-row
+        tail merged into it."""
+        vb = self.virtual_batch
+        full, tail = divmod(n, vb)
+        if tail == 1 and full:
+            full, tail = full - 1, vb + 1
+        runs = [(0, full, vb)] if full else []
+        if tail:
+            runs.append((full * vb, 1, tail))
         return runs
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:

@@ -99,7 +99,7 @@ class ExperimentConfig:
         bad one fails here, before anything runs."""
         cfg = cls()
         own_types = field_types(cls)
-        sections = {"augment": {"seed": 1}, "split": {}}
+        sections = {"augment": {}, "split": {}}
         nested: dict[str, dict] = {"models": {}, "profiles": {}}  # name -> params
         for key, value in flat.items():
             section, _, rest = key.partition(".")
@@ -121,11 +121,10 @@ class ExperimentConfig:
                 nested[section].setdefault(name, {})[param] = value
             else:
                 raise InvalidArgumentError(f"unknown config key {key!r}")
-        aug, spl = sections["augment"], sections["split"]
-        cfg.augment = AugmentationConfig(
-            **check_params("augment", field_types(AugmentationConfig), aug)
-        )
-        cfg.split = SplitSpec(**check_params("split", field_types(SplitSpec), spl))
+        for section, raw in sections.items():  # over the config's own defaults
+            own = getattr(cfg, section)
+            raw = check_params(section, field_types(type(own)), raw)
+            setattr(cfg, section, replace(own, **raw))
         cfg.model_params = {
             kind: model_params(kind, raw) for kind, raw in nested["models"].items()
         }

@@ -97,14 +97,9 @@ def field_types(cls) -> dict[str, str]:
 
 
 def keyword_types(fn) -> dict[str, str]:
-    """Annotation of every keyword argument of ``fn`` whose type has a converter.
-
-    Arguments of other types (a tree's ``rng``) cannot be set by name.
-    """
+    """Annotation of every keyword argument (one with a default) of ``fn``."""
     return {
         p.name: p.annotation
         for p in inspect.signature(fn).parameters.values()
         if p.default is not p.empty
-        and isinstance(p.annotation, str)
-        and p.annotation.removesuffix(" | None") in _CONVERTERS
     }

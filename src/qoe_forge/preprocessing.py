@@ -12,17 +12,19 @@ import numpy as np
 from .data_model import Dataset
 from .errors import InvalidArgumentError, SchemaMismatchError
 
+SPLIT_MODES = ("grouped_by_session", "iid")
+
 
 @dataclass(frozen=True)
 class SplitSpec:
     test_fraction: float = 0.2
-    mode: str = "grouped_by_session"  # or "iid"
+    mode: str = SPLIT_MODES[0]
     seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.test_fraction < 1.0:
             raise InvalidArgumentError("test_fraction must be in (0,1)")
-        if self.mode not in ("grouped_by_session", "iid"):
+        if self.mode not in SPLIT_MODES:
             raise InvalidArgumentError(f"unknown split mode {self.mode!r}")
         if self.seed < 0:
             raise InvalidArgumentError(

@@ -240,6 +240,13 @@ class TestForest:
         expected = np.mean([t.predict(Xq) for t in forest.trees], axis=0)
         np.testing.assert_allclose(forest.predict(Xq), expected, atol=1e-12)
 
+    @pytest.mark.parametrize("n_y", [5, 20])
+    def test_y_of_another_length_than_X_is_a_domain_error(self, n_y):
+        # 5 values once raised IndexError from a bootstrap draw; 20 were cut
+        # to the first 10 without a word.
+        with pytest.raises(InvalidArgumentError, match="one value per row"):
+            fit_forest(np.zeros((10, 2)), np.arange(n_y, dtype=float), n_trees=2)
+
     def test_default_feature_subset(self):
         X = np.zeros((10, 9))
         y = np.arange(10.0)

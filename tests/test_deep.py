@@ -204,9 +204,11 @@ class TestLayers:
 
     def test_gbn_trailing_chunk_merged(self):
         gbn = GhostBatchNorm(2, virtual_batch=4)
-        assert gbn._chunks(9) == [slice(0, 4), slice(4, 9)]
-        assert gbn._chunks(8) == [slice(0, 4), slice(4, 8)]
-        assert gbn._chunks(3) == [slice(0, 3)]
+        assert gbn._runs(9) == [(0, 1, 4), (4, 1, 5)]
+        assert gbn._runs(8) == [(0, 2, 4)]
+        assert gbn._runs(10) == [(0, 2, 4), (8, 1, 2)]
+        assert gbn._runs(5) == [(0, 1, 5)]
+        assert gbn._runs(3) == [(0, 1, 3)]
 
     def test_gbn_running_stats_and_inference(self):
         rng = np.random.default_rng(7)

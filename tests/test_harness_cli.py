@@ -302,6 +302,7 @@ class TestCli:
         ("models.knn.k", "abc"),
         ("models.mlp.hidden", "a,b"),
         ("models.random_forest.n_trees", "2.5"),
+        ("models.decision_tree.n_feature_subset", "2"),
         ("models.svm", "3"),
         ("dataset.n", "abc"),
         ("profiles.gamer_sports.w_rebuff", "abc"),
@@ -334,6 +335,7 @@ class TestCli:
         ("models.random_forest.n_trees", "0", "models.random_forest: n_trees must be >= 1"),
         ("models.gradient_boosting.learning_rate", "1.5",
          "models.gradient_boosting: learning_rate must be in (0,1]"),
+        ("models.knn.k", "0", "models.knn: k must be >= 1"),
     ])
     def test_out_of_range_model_param_exits_1_before_any_fit(self, tmp_path, capsys,
                                                              monkeypatch, key, value,

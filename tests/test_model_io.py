@@ -205,8 +205,7 @@ class TestRegistry:
         tree = {"max_depth": "int | None", "min_samples_leaf": "int"}
         assert PARAM_TYPES == {
             "linear_regression": {"ridge_jitter": "float"},
-            # a tree's rng argument is not settable by name
-            "decision_tree": {**tree, "n_feature_subset": "int | None"},
+            "decision_tree": tree,
             "random_forest": {"n_trees": "int", "n_feature_subset": "int | None",
                               "seed": "int", **tree, "bootstrap": "bool"},
             "gradient_boosting": {"n_stages": "int", "learning_rate": "float", **tree},
@@ -302,12 +301,6 @@ class TestModelParams:
                         train_model(kind, X, y, params, seed=1).predict(X)
                     except QoeForgeError:
                         pass
-
-    def test_feature_subset_of_a_single_tree_needs_an_rng(self):
-        X, y = small_problem()
-        with pytest.raises(InvalidArgumentError, match="rng"):
-            train_model("decision_tree", X, y, {"n_feature_subset": 2}, seed=0)
-        train_model("decision_tree", X, y, {"n_feature_subset": 4}, seed=0)
 
 
 @pytest.mark.parametrize("text, message", [
