@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericalError
+from .params import finite_array, finite_float
 
 
 # The range rule of each scalar fit param, by name: (test, what a value must
@@ -84,7 +85,7 @@ class LinearModel:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "LinearModel":
-        return cls(np.asarray(doc["coef"], dtype=np.float64), float(doc["intercept"]))
+        return cls(finite_array("coef", doc["coef"]), finite_float("intercept", doc["intercept"]))
 
 
 def fit_linear(X, y, ridge_jitter: float = 1e-8) -> LinearModel:
@@ -130,10 +131,10 @@ class TreeNode:
     @classmethod
     def from_doc(cls, doc: dict) -> "TreeNode":
         if "value" in doc:
-            return cls(value=float(doc["value"]))
+            return cls(value=finite_float("leaf value", doc["value"]))
         return cls(
             feature=int(doc["feature"]),
-            threshold=float(doc["threshold"]),
+            threshold=finite_float("threshold", doc["threshold"]),
             left=cls.from_doc(doc["left"]),
             right=cls.from_doc(doc["right"]),
         )
@@ -369,9 +370,9 @@ class BoostedModel:
     @classmethod
     def from_doc(cls, doc: dict) -> "BoostedModel":
         return cls(
-            initial=float(doc["initial"]),
+            initial=finite_float("initial", doc["initial"]),
             stages=[TreeModel.from_doc(s) for s in doc["stages"]],
-            learning_rate=float(doc["learning_rate"]),
+            learning_rate=finite_float("learning_rate", doc["learning_rate"]),
         )
 
 
@@ -464,8 +465,8 @@ class KnnModel:
     @classmethod
     def from_doc(cls, doc: dict) -> "KnnModel":
         return cls(
-            X_train=np.asarray(doc["X_train"], dtype=np.float64),
-            y_train=np.asarray(doc["y_train"], dtype=np.float64),
+            X_train=finite_array("X_train", doc["X_train"]),
+            y_train=finite_array("y_train", doc["y_train"]),
             k=doc["k"],
         )
 

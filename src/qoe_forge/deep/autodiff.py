@@ -5,10 +5,16 @@ ReLU, sigmoid, elementwise multiply, dropout, batch normalization (handled
 in layers.py), sparsemax, MSE, and a mask-entropy regularizer. Graphs are
 built eagerly. Each op is its forward value plus one vector-Jacobian product
 (VJP) per input, handed to ``node``, which records only the inputs that
-require grad; ``backward`` walks the recorded graph in topological order.
+require grad; ``backward`` walks the recorded graph in topological order and
+releases each node's inputs once their VJPs have run, so the walk consumes
+the graph. Inside ``no_grad()`` nothing is recorded, so inference keeps no
+activation alive past its last use.
 """
 
 from __future__ import annotations
+
+import contextlib
+import contextvars
 
 import numpy as np
 
@@ -66,21 +72,43 @@ class Tensor:
             stack.append((t, True))
             for p, _ in t.inputs:
                 stack.append((p, False))
+        # Reverse topological order, each node's inputs in order. A node's
+        # inputs, and with them the arrays its VJPs close over, are dropped
+        # once its VJPs have run, so activations die during the walk.
         self.grad = np.ones_like(self.data)
-        for t in reversed(topo):
+        while topo:
+            t = topo.pop()
             for p, vjp in t.inputs:
                 p._accumulate(vjp(t.grad))
+            t.inputs = ()
+
+
+_recording = contextvars.ContextVar("recording", default=True)
+
+
+@contextlib.contextmanager
+def no_grad():
+    """A scope in which ops record no graph: every result is a bare tensor
+    with no inputs that does not require grad. The previous setting comes
+    back on exit, also when the scope raises, so scopes nest."""
+    token = _recording.set(False)
+    try:
+        yield
+    finally:
+        _recording.reset(token)
 
 
 def node(value, *inputs) -> Tensor:
     """The tensor ``value`` computed from ``inputs``, (tensor, VJP) pairs.
 
     Only inputs that require grad are kept, and the result requires grad
-    exactly when it keeps one, so a VJP never runs for a constant.
+    exactly when it keeps one, so a VJP never runs for a constant. Inside
+    ``no_grad()`` no input is kept.
     """
     out = Tensor(value)
-    out.inputs = tuple((t, vjp) for t, vjp in inputs if t.requires_grad)
-    out.requires_grad = bool(out.inputs)
+    if _recording.get():
+        out.inputs = tuple((t, vjp) for t, vjp in inputs if t.requires_grad)
+        out.requires_grad = bool(out.inputs)
     return out
 
 

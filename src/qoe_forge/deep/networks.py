@@ -8,11 +8,13 @@ seed).
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from ..errors import DivergenceError, InvalidArgumentError
+from ..params import finite_array
 from .autodiff import (
     Tensor,
     add,
@@ -20,6 +22,7 @@ from .autodiff import (
     mask_entropy,
     mse,
     mul,
+    no_grad,
     node,
     relu,
     scale,
@@ -89,6 +92,13 @@ class TargetScaler:
     mean: float = 0.0
     std: float = 1.0
 
+    def __post_init__(self):
+        if not math.isfinite(self.mean):
+            raise InvalidArgumentError(f"target_scaler.mean must be finite, got {self.mean!r}")
+        if not (math.isfinite(self.std) and self.std > 0):
+            raise InvalidArgumentError(
+                f"target_scaler.std must be finite and > 0, got {self.std!r}")
+
     @classmethod
     def fit(cls, y: np.ndarray) -> "TargetScaler":
         sd = float(np.std(y))
@@ -151,29 +161,35 @@ class Network:
         }
 
     def load_state(self, state: dict) -> None:
-        """Restore what ``state`` returned; every array keeps its shape."""
+        """Restore what ``state`` returned. Every array keeps its shape and
+        holds only finite values, a running variance none below 0, and the
+        target scaler checks itself."""
         for name, p in self.param_entries():
             entry = state["params"][name]
             data = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-            p.data = _same_shape(name, data, p.data)
+            p.data = _state_array(name, data, p.data)
         for name, bn in self.norm_layers():
             norm = state["norm"][name]
-            bn.running_mean = _same_shape(f"{name}.running_mean", norm["running_mean"],
-                                          bn.running_mean)
-            bn.running_var = _same_shape(f"{name}.running_var", norm["running_var"],
-                                         bn.running_var)
+            bn.running_mean = _state_array(f"{name}.running_mean", norm["running_mean"],
+                                           bn.running_mean)
+            running_var = _state_array(f"{name}.running_var", norm["running_var"],
+                                       bn.running_var)
+            if (running_var < 0.0).any():
+                raise InvalidArgumentError(f"state entry {name}.running_var holds a value below 0")
+            bn.running_var = running_var
         scaler = state["target_scaler"]
         self.target_scaler = TargetScaler(float(scaler["mean"]), float(scaler["std"]))
 
 
-def _same_shape(name: str, values, like: np.ndarray) -> np.ndarray:
-    """``values`` as a float64 array, which must have the shape of ``like``."""
+def _state_array(name: str, values, like: np.ndarray) -> np.ndarray:
+    """``values`` as a float64 array of finite values, which must have the
+    shape of ``like``."""
     out = np.asarray(values, dtype=np.float64)
     if out.shape != like.shape:
         raise InvalidArgumentError(
             f"state entry {name} has shape {out.shape}, expected {like.shape}"
         )
-    return out
+    return finite_array(f"state entry {name}", out)
 
 
 class MlpNet(Network):
@@ -200,7 +216,8 @@ class MlpNet(Network):
         return mse(self.forward(x, training, rng), y)
 
     def predict(self, X) -> np.ndarray:
-        out = self.forward(Tensor(np.asarray(X, dtype=np.float64)), False, None)
+        with no_grad():
+            out = self.forward(Tensor(np.asarray(X, dtype=np.float64)), False, None)
         return self.target_scaler.inverse(out.data[:, 0])
 
 
@@ -226,7 +243,8 @@ class AttentionMlpNet(MlpNet):
 
     def mean_gate(self, X) -> np.ndarray:
         """Mean attention gate over a dataset; feature-importance readout."""
-        alpha = self.gate(Tensor(np.asarray(X, dtype=np.float64)))
+        with no_grad():
+            alpha = self.gate(Tensor(np.asarray(X, dtype=np.float64)))
         return alpha.data.mean(axis=0)
 
 
@@ -298,7 +316,8 @@ class TabNetLite(Network):
         return add(out, scale(penalty, self.cfg.sparsity / self.cfg.n_steps))
 
     def predict(self, X) -> np.ndarray:
-        out = self.forward(Tensor(np.asarray(X, dtype=np.float64)), False)
+        with no_grad():
+            out = self.forward(Tensor(np.asarray(X, dtype=np.float64)), False)
         return self.target_scaler.inverse(out.data[:, 0])
 
     def feature_importances(self, X) -> np.ndarray:
@@ -309,7 +328,8 @@ class TabNetLite(Network):
         that barely influence the decision barely influence the importances.
         """
         x = Tensor(np.asarray(X, dtype=np.float64))
-        _, masks, contribs = self._steps(x, False)
+        with no_grad():
+            _, masks, contribs = self._steps(x, False)
         head_w = self.head.W.data[:, 0]
         agg = np.zeros(x.shape[1])
         for mask, contrib in zip(masks, contribs):
@@ -353,7 +373,8 @@ def train_tabnet_lite(X, y, cfg: TabNetConfig, seed: int) -> TabNetLite:
     stale = 0
     for _ in _epochs(net, X[train_idx], yt[train_idx], cfg.max_epochs, rng):
         if n_val:
-            val_pred = net.forward(Tensor(Xval), False).data
+            with no_grad():
+                val_pred = net.forward(Tensor(Xval), False).data
             val_mse = float(np.mean((val_pred - yval) ** 2))
         else:
             val_mse = net.loss_curve[-1]

@@ -146,7 +146,7 @@ def model_from_doc(doc) -> tuple:
         raise
     except KeyError as exc:
         raise InvalidArgumentError(f"{kind} model document has no field {exc}") from None
-    except (TypeError, ValueError, AttributeError) as exc:
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise InvalidArgumentError(f"malformed {kind} model document: {exc}") from None
     except RecursionError:
         raise InvalidArgumentError(f"{kind} model document is nested too deeply") from None

@@ -14,6 +14,8 @@ import inspect
 import math
 import operator
 
+import numpy as np
+
 from .errors import InvalidArgumentError
 
 
@@ -29,6 +31,23 @@ def _float(value) -> float:
     out = float(value)
     if not math.isfinite(out):
         raise ValueError("not finite")
+    return out
+
+
+def finite_float(name: str, value) -> float:
+    """``value`` as a float, which must be finite: a document's ``1e400``
+    decodes as an infinity. The error names ``name``."""
+    out = float(value)
+    if not math.isfinite(out):
+        raise InvalidArgumentError(f"{name} must be finite, got {out!r}")
+    return out
+
+
+def finite_array(name: str, values) -> np.ndarray:
+    """``values`` as a float64 array whose every entry must be finite."""
+    out = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(out).all():
+        raise InvalidArgumentError(f"{name} holds a value that is not finite")
     return out
 
 

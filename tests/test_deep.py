@@ -1,5 +1,7 @@
 """Autodiff primitives, layers, and the three deep regressors."""
 
+import contextlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,12 +16,14 @@ from qoe_forge.deep.autodiff import (
     matmul,
     mse,
     mul,
+    no_grad,
     relu,
     scale,
     sigmoid,
     sparsemax,
     sparsemax_projection,
 )
+from qoe_forge.deep import networks
 from qoe_forge.deep.layers import Adam, GhostBatchNorm, Linear
 from qoe_forge.deep.networks import (
     AttentionMlpNet,
@@ -127,6 +131,13 @@ class TestAutodiffPrimitives:
         assert max_rel_error(m.grad, numeric) < 1e-6
 
 
+TINY_NETS = [
+    (MlpNet, MlpConfig(hidden=(8,), attention_hidden=8, batch_size=16)),
+    (AttentionMlpNet, MlpConfig(hidden=(8,), attention_hidden=8, batch_size=16)),
+    (TabNetLite, TabNetConfig(step_dim=8, batch_size=16, virtual_batch=8)),
+]
+
+
 class TestGradientPruning:
     def test_ops_on_constants_record_nothing(self):
         rng = np.random.default_rng(9)
@@ -143,11 +154,7 @@ class TestGradientPruning:
         mse(out, b.data).backward()
         assert a.grad is None and w.grad is not None
 
-    @pytest.mark.parametrize("net_cls, cfg", [
-        (MlpNet, MlpConfig(hidden=(8,), attention_hidden=8, batch_size=16)),
-        (AttentionMlpNet, MlpConfig(hidden=(8,), attention_hidden=8, batch_size=16)),
-        (TabNetLite, TabNetConfig(step_dim=8, batch_size=16, virtual_batch=8)),
-    ])
+    @pytest.mark.parametrize("net_cls, cfg", TINY_NETS)
     def test_only_parameters_receive_gradients(self, net_cls, cfg):
         X, y = tiny_regression(n=16)
         net = net_cls(4, cfg, np.random.default_rng(0))
@@ -156,6 +163,92 @@ class TestGradientPruning:
         assert x.grad is None
         for name, p in net.param_entries():
             assert p.grad is not None, name
+
+
+def graph_nodes(out: Tensor) -> list[Tensor]:
+    """Every tensor reached from ``out`` through recorded inputs."""
+    found, stack = {}, [out]
+    while stack:
+        t = stack.pop()
+        if id(t) not in found:
+            found[id(t)] = t
+            stack += [p for p, _ in t.inputs]
+    return list(found.values())
+
+
+def traced_peak(fn) -> int:
+    """The peak of traced memory, in bytes, while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestRecordingScope:
+    def test_forward_in_the_scope_records_nothing(self):
+        X, _ = tiny_regression(n=16)
+        for net_cls, cfg in TINY_NETS:
+            net = net_cls(4, cfg, np.random.default_rng(0))
+            with no_grad():
+                out = net.forward(Tensor(X), False, None)
+            assert out.inputs == () and not out.requires_grad
+            assert net.forward(Tensor(X), False, None).inputs != ()
+
+    @pytest.mark.parametrize("net_cls, cfg", TINY_NETS)
+    def test_readouts_equal_the_recorded_forward(self, net_cls, cfg, monkeypatch):
+        X, _ = tiny_regression(n=40)
+        net = net_cls(4, cfg, np.random.default_rng(0))
+        names = [n for n in ("predict", "mean_gate", "feature_importances") if hasattr(net, n)]
+        scoped = {n: getattr(net, n)(X) for n in names}
+        monkeypatch.setattr(networks, "no_grad", contextlib.nullcontext)
+        recorded = {n: getattr(net, n)(X) for n in names}
+        for n in names:
+            np.testing.assert_array_equal(scoped[n], recorded[n], err_msg=n)
+        assert all(p.grad is None for p in net.parameters())
+
+    def test_scope_is_restored_after_an_exception_and_when_nested(self):
+        w = Tensor(np.ones((2, 2)), requires_grad=True)
+        x = Tensor(np.ones((1, 2)))
+        with pytest.raises(RuntimeError):
+            with no_grad():
+                raise RuntimeError("inside the scope")
+        assert matmul(x, w).inputs != ()
+        with no_grad():
+            with no_grad():
+                pass
+            assert matmul(x, w).inputs == ()
+        assert matmul(x, w).inputs != ()
+        # A training step after the scopes still reaches every parameter.
+        X, y = tiny_regression(n=16)
+        for net_cls, cfg in TINY_NETS:
+            net = net_cls(4, cfg, np.random.default_rng(0))
+            net.loss(Tensor(X), y[:, None], True, np.random.default_rng(1)).backward()
+            for name, p in net.param_entries():
+                assert p.grad is not None, name
+
+    @pytest.mark.parametrize("net_cls, cfg", TINY_NETS)
+    def test_backward_releases_the_graph_it_walks(self, net_cls, cfg):
+        X, y = tiny_regression(n=16)
+        net = net_cls(4, cfg, np.random.default_rng(0))
+        loss = net.loss(Tensor(X), y[:, None], True, np.random.default_rng(1))
+        nodes = graph_nodes(loss)
+        assert len(nodes) > len(net.parameters())
+        loss.backward()
+        assert all(t.inputs == () for t in nodes)
+
+    @pytest.mark.parametrize("net_cls, cfg", [
+        (MlpNet, MlpConfig()), (AttentionMlpNet, MlpConfig()), (TabNetLite, TabNetConfig()),
+    ])
+    def test_predict_peak_is_under_half_the_recorded_forward(self, net_cls, cfg):
+        # A recorded forward keeps every activation alive until it returns;
+        # inference frees each one after its last use. The ratios measured
+        # were 0.38, 0.30 and 0.24.
+        X = np.random.default_rng(0).normal(size=(4000, 13))
+        net = net_cls(13, cfg, np.random.default_rng(1))
+        recorded = traced_peak(lambda: net.forward(Tensor(X), False, None))
+        assert traced_peak(lambda: net.predict(X)) < 0.5 * recorded
 
 
 class TestSparsemax:

@@ -354,6 +354,56 @@ def test_network_state_of_the_wrong_shape_is_a_domain_error(entry, value):
         model_from_doc(doc)
 
 
+@pytest.mark.parametrize("kind, path, literal, message", [
+    # A negative std scored with plcc -0.906 and a zero one scored a
+    # constant; both exited 0.
+    ("mlp", ("target_scaler", "std"), "-3.0",
+     r"target_scaler\.std must be finite and > 0, got -3\.0"),
+    ("mlp", ("target_scaler", "std"), "0.0",
+     r"target_scaler\.std must be finite and > 0, got 0\.0"),
+    # 1e400 decodes as an infinity, which was blamed on the input CSV.
+    ("mlp", ("target_scaler", "std"), "1e400",
+     r"target_scaler\.std must be finite and > 0, got inf"),
+    ("mlp", ("target_scaler", "mean"), "1e400", r"target_scaler\.mean must be finite, got inf"),
+    ("mlp", ("params", "hidden0.W", "data", 0), "1e400",
+     r"state entry hidden0\.W holds a value that is not finite"),
+    # A negative running variance warned and then blamed the input CSV.
+    ("tabnet", ("norm", "attentive0", "running_var", 0), "-1.0",
+     r"state entry attentive0\.running_var holds a value below 0"),
+    ("tabnet", ("norm", "attentive0", "running_var", 0), "1e400",
+     r"state entry attentive0\.running_var holds a value that is not finite"),
+    ("tabnet", ("norm", "transform10", "running_mean", 0), "1e400",
+     r"state entry transform10\.running_mean holds a value that is not finite"),
+    ("linear_regression", ("intercept",), "1e400", r"intercept must be finite, got inf"),
+    ("linear_regression", ("coef", 0), "-1e400", r"coef holds a value that is not finite"),
+    # An infinite root threshold scored and exited 0.
+    ("decision_tree", ("root", "threshold"), "1e400", r"threshold must be finite, got inf"),
+    ("decision_tree", ("root", "left", "value"), "1e400", r"leaf value must be finite, got inf"),
+    # An infinite int field was an OverflowError traceback.
+    ("decision_tree", ("root", "feature"), "1e400",
+     r"malformed decision_tree model document: cannot convert float infinity"),
+    ("gradient_boosting", ("initial",), "1e400", r"initial must be finite, got inf"),
+    ("gradient_boosting", ("learning_rate",), "1e400", r"learning_rate must be finite, got inf"),
+    ("knn", ("X_train", 0, 0), "1e400", r"X_train holds a value that is not finite"),
+    ("knn", ("y_train", 0), "1e400", r"y_train holds a value that is not finite"),
+], ids=["mlp-std-neg", "mlp-std-zero", "mlp-std-inf", "mlp-mean-inf", "mlp-weight-inf",
+        "tabnet-var-neg", "tabnet-var-inf", "tabnet-mean-inf", "linear-intercept-inf",
+        "linear-coef-inf", "tree-threshold-inf", "tree-leaf-inf", "tree-feature-inf",
+        "boosting-initial-inf", "boosting-rate-inf", "knn-x-inf", "knn-y-inf"])
+def test_document_values_out_of_range_are_domain_errors(tmp_path, kind, path, literal, message):
+    X, y = small_problem()
+    params = {**FAST_PARAMS, "decision_tree": {"max_depth": 1}}.get(kind)
+    doc = model_to_doc(kind, train_model(kind, X, y, params, seed=0))
+    target = doc["state"]
+    for part in path[:-1]:
+        target = target[part]
+    target[path[-1]] = "LITERAL"
+    model_file = tmp_path / "m.json"
+    model_file.write_text(json.dumps(doc).replace('"LITERAL"', literal))
+    with pytest.raises(InvalidArgumentError, match=message):
+        load_model(model_file)
+
+
 def test_deeply_nested_model_file_is_a_domain_error(tmp_path):
     path = tmp_path / "m.json"
     path.write_text("[" * 100000 + "]" * 100000 + "\n")
