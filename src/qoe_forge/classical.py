@@ -50,13 +50,17 @@ def _as_matrix(X) -> np.ndarray:
 
 def _training_data(X, y, **params) -> tuple[np.ndarray, np.ndarray]:
     """A fit's ``X`` and ``y`` as float arrays, checked with its ``params``:
-    ``X`` is 2-D, ``y`` is 1-D with one value per row, and a tree fit (one
-    with a ``min_samples_leaf``) has rows enough for a leaf on either side."""
+    ``X`` is 2-D, ``y`` is 1-D with one value per row, every value of both is
+    finite, and a tree fit (one with a ``min_samples_leaf``) has rows enough
+    for a leaf on either side."""
     X, y = _as_matrix(X), np.asarray(y, dtype=np.float64)
     if y.shape != X.shape[:1]:
         raise InvalidArgumentError(
             f"y must be 1-D with one value per row of X, got shapes {X.shape} and {y.shape}"
         )
+    for name, values in (("X", X), ("y", y)):
+        if not np.isfinite(values).all():
+            raise InvalidArgumentError(f"{name} holds a value that is not finite")
     check_fit_params(**params)
     leaf = params.get("min_samples_leaf")
     if leaf is not None and X.shape[0] < 2 * leaf:
@@ -369,10 +373,12 @@ class BoostedModel:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "BoostedModel":
+        learning_rate = finite_float("learning_rate", doc["learning_rate"])
+        check_fit_params(learning_rate=learning_rate)
         return cls(
             initial=finite_float("initial", doc["initial"]),
             stages=[TreeModel.from_doc(s) for s in doc["stages"]],
-            learning_rate=finite_float("learning_rate", doc["learning_rate"]),
+            learning_rate=learning_rate,
         )
 
 
@@ -424,6 +430,9 @@ class KnnModel:
                 f"knn needs a 2-D X_train and one y_train value per row, "
                 f"got shapes {self.X_train.shape} and {self.y_train.shape}"
             )
+        for name in ("X_train", "y_train"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise InvalidArgumentError(f"{name} holds a value that is not finite")
         n = len(self.X_train)
         if isinstance(self.k, bool) or not isinstance(self.k, int) or not 1 <= self.k <= n:
             raise InvalidArgumentError(f"k must be an int in [1, {n}], got {self.k!r}")
@@ -465,8 +474,8 @@ class KnnModel:
     @classmethod
     def from_doc(cls, doc: dict) -> "KnnModel":
         return cls(
-            X_train=finite_array("X_train", doc["X_train"]),
-            y_train=finite_array("y_train", doc["y_train"]),
+            X_train=np.asarray(doc["X_train"], dtype=np.float64),
+            y_train=np.asarray(doc["y_train"], dtype=np.float64),
             k=doc["k"],
         )
 

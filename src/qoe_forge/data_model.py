@@ -67,8 +67,9 @@ AUGMENTED_SCHEMA: tuple[Column, ...] = BASE_SCHEMA + (
 # Each storage type's cell parser; interned labels share one str object.
 _CELL_PARSERS = {np.int64: int, np.float64: float, object: sys.intern}
 
-# Rows per block when CSV text is formatted or parsed, so neither holds a
-# Python object per cell of the whole file at once.
+# Rows per block when CSV text is formatted or parsed, and when augmentation
+# seeds its per-row noise, so none of them holds a Python object per cell or
+# row of the whole dataset at once.
 _BLOCK_ROWS = 1024
 
 

@@ -15,6 +15,7 @@ from typing import Mapping
 import numpy as np
 
 from .data_model import (
+    _BLOCK_ROWS,
     AUGMENTED_SCHEMA,
     BASE_SCHEMA,
     BITRATE_MAX_KBPS,
@@ -133,14 +134,18 @@ def adjust_mos(
     return np.minimum(np.maximum(base_mos + delta, 0.0), 100.0)
 
 
-# -- per-(session, profile) noise, seeded in bulk ---------------------------
+# -- per-(session, profile) noise, seeded block by block --------------------
 #
 # Row (session s, profile k) of an augmentation with seed S gets the first
 # normal draw of ``np.random.default_rng([S mod 2**64, s, k])``. Calling
 # default_rng per row is slow, so the SeedSequence hashing that turns each
-# key into a PCG64 state runs here on uint32 columns for all rows at once,
-# following numpy's SeedSequence (numpy/random/bit_generator.pyx) and
-# pcg64_set_seed; one reused PCG64 then takes each row's state and draws.
+# key into a PCG64 state runs here on uint32 columns, following numpy's
+# SeedSequence (numpy/random/bit_generator.pyx) and pcg64_set_seed; one
+# reused PCG64 then takes each row's state and draws. A state is a 128-bit
+# Python int, several hundred bytes a row, so the flattened (session,
+# profile) rows go through in blocks of ``_BLOCK_ROWS``: only one block's
+# keys, states and increments are alive at once, and each block's draws go
+# straight into the one output array.
 
 _MASK32 = 0xFFFFFFFF
 _MASK128 = (1 << 128) - 1
@@ -208,26 +213,28 @@ def session_noise(seed: int, session_ids, n_profiles: int, sigma: float) -> np.n
     sids = np.asarray(session_ids, dtype=np.int64)
     if np.any(sids < 0):
         raise InvalidArgumentError("session ids must be >= 0 to seed the noise")
-    sid = np.repeat(sids, n_profiles).astype(np.uint64)
-    profile = np.tile(np.arange(n_profiles, dtype=np.uint64), len(sids))
-    low, high = sid & np.uint64(_MASK32), sid >> np.uint64(32)
     seed_words = _uint32_words(int(seed) & 0xFFFFFFFFFFFFFFFF)
-    states = np.empty(sid.size, dtype=object)
-    incs = np.empty(sid.size, dtype=object)
-    for wide in (False, True):  # ids below 2**32 are one word, the rest two
-        rows = np.flatnonzero((high > 0) == wide)
-        words = [np.full(rows.size, w, dtype=np.uint64) for w in seed_words]
-        words += [low[rows], high[rows], profile[rows]] if wide else [low[rows], profile[rows]]
-        states[rows], incs[rows] = _pcg64_states(np.column_stack(words).astype(np.uint32))
-
     bitgen = np.random.PCG64(0)
     draw = np.random.Generator(bitgen).standard_normal
     doc = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
-    z = np.empty(sid.size)
-    for i, (state, inc) in enumerate(zip(states.tolist(), incs.tolist())):
-        doc["state"] = {"state": state, "inc": inc}
-        bitgen.state = doc
-        z[i] = draw()
+    z = np.empty(sids.size * n_profiles)
+    for start in range(0, z.size, _BLOCK_ROWS):
+        row = np.arange(start, min(start + _BLOCK_ROWS, z.size))
+        sid = sids[row // n_profiles].astype(np.uint64)
+        profile = (row % n_profiles).astype(np.uint64)
+        low, high = sid & np.uint64(_MASK32), sid >> np.uint64(32)
+        states = np.empty(row.size, dtype=object)
+        incs = np.empty(row.size, dtype=object)
+        for wide in (False, True):  # ids below 2**32 are one word, the rest two
+            rows = np.flatnonzero((high > 0) == wide)
+            if rows.size:
+                words = [np.full(rows.size, w, dtype=np.uint64) for w in seed_words]
+                words += [low[rows], high[rows], profile[rows]] if wide else [low[rows], profile[rows]]
+                states[rows], incs[rows] = _pcg64_states(np.column_stack(words).astype(np.uint32))
+        for i, (state, inc) in enumerate(zip(states.tolist(), incs.tolist()), start):
+            doc["state"] = {"state": state, "inc": inc}
+            bitgen.state = doc
+            z[i] = draw()
     # Generator.normal(loc, scale) returns loc + scale * standard_normal().
     return (0.0 + sigma * z).reshape(len(sids), n_profiles)
 

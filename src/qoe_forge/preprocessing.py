@@ -40,8 +40,10 @@ class FittedPreprocessor:
     feature has a label -> code mapping in ``encoders``, codes in
     first-appearance order; a numeric one has a population ``mean`` and
     ``std``. Building a plan checks that every feature has exactly one of the
-    two, that no mapping or statistic names another column, and that every
-    mean is finite and every std finite and above 0.
+    two, that no mapping or statistic names another column, that each
+    mapping's codes are ``0 .. len(mapping) - 1`` once each (``len(mapping)``
+    is the overflow code of unseen labels), and that every mean is finite and
+    every std finite and above 0.
     """
 
     feature_columns: list[str]
@@ -59,6 +61,11 @@ class FittedPreprocessor:
         stray = {*self.encoders, *self.mean, *self.std}.difference(self.feature_columns)
         if stray:
             raise InvalidArgumentError(f"encodings of non-feature columns {sorted(stray)}")
+        for name, mapping in self.encoders.items():
+            if sorted(mapping.values()) != list(range(len(mapping))):
+                raise InvalidArgumentError(
+                    f"column {name!r} needs the label codes 0 to {len(mapping) - 1} "
+                    f"once each, got {sorted(mapping.values())}")
         for name, mu in self.mean.items():
             sigma = self.std[name]
             if not (math.isfinite(mu) and math.isfinite(sigma) and sigma > 0):
@@ -136,13 +143,13 @@ def transform(dataset: Dataset, fitted: FittedPreprocessor) -> tuple[np.ndarray,
     missing = [c for c in (*fitted.feature_columns, fitted.target_column) if c not in names]
     if missing:
         raise SchemaMismatchError(f"dataset lacks fitted columns {missing}")
-    matrix_cols = []
-    for name in fitted.feature_columns:
+    X = np.empty((len(dataset), len(fitted.feature_columns)))
+    for j, name in enumerate(fitted.feature_columns):
         values = dataset.column(name)
         mapping = fitted.encoders.get(name)
         if mapping is None:
             values = values.astype(np.float64)
-            matrix_cols.append((values - fitted.mean[name]) / fitted.std[name])
+            X[:, j] = (values - fitted.mean[name]) / fitted.std[name]
             continue
         # Unseen labels get the reserved overflow code (max + 1). A dict lookup per
         # label beats np.unique here: that sorts str objects one comparison at a time.
@@ -154,9 +161,7 @@ def transform(dataset: Dataset, fitted: FittedPreprocessor) -> tuple[np.ndarray,
                 f"column {name!r}: unseen labels {sorted(unseen)} "
                 f"mapped to overflow code {overflow}"
             )
-        codes = [mapping.get(lab, overflow) for lab in labels]
-        matrix_cols.append(np.array(codes, dtype=np.float64))
-    X = np.column_stack(matrix_cols)
+        X[:, j] = [mapping.get(lab, overflow) for lab in labels]
     y = dataset.column(fitted.target_column).astype(np.float64)
     return X, y
 

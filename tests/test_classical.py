@@ -396,3 +396,17 @@ class TestKnn:
             fit_knn(np.zeros((5, 1)), np.zeros(5), k=0)
         with pytest.raises(InvalidArgumentError):
             fit_knn(np.zeros((5, 1)), np.zeros(5), k=6)
+
+
+@pytest.mark.parametrize("fit", [fit_linear, fit_tree, fit_forest, fit_boosted, fit_knn])
+@pytest.mark.parametrize("where, value", [
+    ("X", np.nan), ("X", np.inf), ("y", np.nan), ("y", -np.inf),
+])
+def test_fit_rejects_values_that_are_not_finite(fit, where, value):
+    # One NaN in X once made fit_linear return a model that predicted NaN
+    # for every row, without an error.
+    rng = np.random.default_rng(0)
+    data = {"X": rng.normal(size=(20, 3)), "y": rng.normal(size=20)}
+    data[where].reshape(-1)[7] = value
+    with pytest.raises(InvalidArgumentError, match=f"{where}(_train)? holds a value that is not finite"):
+        fit(data["X"], data["y"])

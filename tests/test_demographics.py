@@ -1,11 +1,12 @@
 """Demographic profiles, impact factors, and the augmentation pipeline."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qoe_forge.data_model import BASE_SCHEMA, Dataset, generate_base_dataset
+from qoe_forge.data_model import _BLOCK_ROWS, BASE_SCHEMA, Dataset, generate_base_dataset
 from qoe_forge.demographics import (
     BUILTIN_PROFILES,
     PROFILE_IDS,
@@ -274,3 +275,38 @@ class TestSessionNoise:
     def test_negative_session_id_rejected(self):
         with pytest.raises(InvalidArgumentError):
             session_noise(1, [3, -1], 6, 1.0)
+
+    def test_blocks_of_rows_match_default_rng(self):
+        # Seven profiles: no block edge falls between two sessions, so the
+        # rows of a session straddle each edge. More than two blocks of rows.
+        n_profiles = 7
+        edges = (_BLOCK_ROWS, 2 * _BLOCK_ROWS)
+        assert all(edge % n_profiles for edge in edges)
+        sids = np.arange(max(edges) // n_profiles + 8) * 3
+        # Ids of one uint32 word and of two share a block and a block edge:
+        # the middle session of each triple has rows on both sides of it.
+        sids[5:8] = [2**32 + 2, 11, 2**41]
+        first, second = (edge // n_profiles for edge in edges)
+        sids[first - 1:first + 2] = [2**32 - 1, 2**32, 2**32 + 7]
+        sids[second - 1:second + 2] = [2**40 + 5, 2**32 - 2, 2**32 + 1]
+        assert len(sids) * n_profiles > 2 * _BLOCK_ROWS
+        got = session_noise(123, sids, n_profiles, 1.5)
+        want = [
+            [np.random.default_rng([123, s, k]).normal(0.0, 1.5) for k in range(n_profiles)]
+            for s in sids.tolist()
+        ]
+        assert got.tolist() == want
+
+    def test_memory_is_bounded_by_a_block(self):
+        # Seeding every row at once held two 128-bit Python ints per row,
+        # about 720 bytes a row (8.7 MB here); a block's worth is about
+        # 0.75 MB, plus 16 bytes a row for the draws and the result.
+        n_sessions, n_profiles = 2000, 6
+        session_noise(0, [1], n_profiles, 1.0)
+        tracemalloc.start()
+        try:
+            session_noise(3, np.arange(n_sessions), n_profiles, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 150 * n_sessions * n_profiles

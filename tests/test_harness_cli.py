@@ -543,6 +543,32 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: column 'duration_s'") and "Traceback" not in err
 
+    @pytest.mark.parametrize("kind, extra, edit, message", [
+        # A negative rate once scored r2 -2.79 and exited 0.
+        ("gradient_boosting", "models.gradient_boosting.n_stages = 5\n",
+         lambda doc: doc["state"].update(learning_rate=-0.1), "learning_rate must be in (0,1]"),
+        ("gradient_boosting", "models.gradient_boosting.n_stages = 5\n",
+         lambda doc: doc["state"].update(learning_rate=1.5), "learning_rate must be in (0,1]"),
+        # All-zero codes once scored the merged labels and exited 0.
+        ("decision_tree", "",
+         lambda doc: doc["preprocessor"]["encoders"]["device"].update(
+             dict.fromkeys(doc["preprocessor"]["encoders"]["device"], 0)),
+         "column 'device' needs the label codes"),
+    ], ids=["rate-negative", "rate-above-1", "codes-all-zero"])
+    def test_evaluate_document_value_out_of_range_exits_1(
+            self, tmp_path, capsys, kind, extra, edit, message):
+        base, model = tmp_path / "b.csv", tmp_path / "m.json"
+        main(["generate", "--n", "30", "--seed", "5", "--out", str(base)])
+        assert main(["train", "--in", str(base), "--model", kind,
+                     "--config", str(fast_config(tmp_path, extra)), "--out", str(model)]) == 0
+        doc = json.loads(model.read_text())
+        edit(doc)
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["evaluate", "--model", str(model), "--in", str(base)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and "Traceback" not in err
+
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QOE_FORGE_SEED", "5")
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

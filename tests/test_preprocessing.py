@@ -125,6 +125,24 @@ class TestPlanCheck:
         with pytest.raises(InvalidArgumentError, match="'duration_s'"):
             FittedPreprocessor.from_doc(doc)
 
+    @pytest.mark.parametrize("codes", [
+        lambda n: [0] * n,                      # every label merged into one
+        lambda n: [*range(n - 1), n - 2],       # a code used twice
+        lambda n: [-1, *range(1, n)],           # a negative code
+        lambda n: [*range(n - 1), n],           # the overflow code of unseen labels
+    ], ids=["all-zero", "duplicate", "negative", "overflow"])
+    def test_encoder_codes_must_be_a_permutation(self, doc, codes):
+        # All-zero codes once loaded and scored the merged labels.
+        mapping = doc["encoders"]["device"]
+        doc["encoders"]["device"] = dict(zip(mapping, codes(len(mapping))))
+        with pytest.raises(InvalidArgumentError, match="'device' needs the label codes"):
+            FittedPreprocessor.from_doc(doc)
+
+    def test_encoder_codes_in_any_order(self, doc):
+        mapping = doc["encoders"]["device"]
+        doc["encoders"]["device"] = dict(zip(mapping, reversed(range(len(mapping)))))
+        assert FittedPreprocessor.from_doc(doc).to_doc() == doc
+
     def test_fit_transform_is_fit_then_transform(self, aug2700):
         X, y, plan = fit_transform(aug2700, exclude=("demographic",))
         fitted = FittedPreprocessor.fit(aug2700, exclude=("demographic",))
@@ -170,6 +188,22 @@ class TestFitTransform:
         np.testing.assert_allclose(
             Xt[:, j], (test.column("vmaf_mean").astype(float) - mu) / sd
         )
+
+    def test_transform_matches_stacked_columns(self, aug2700):
+        train, test = aug2700.subset(range(2000)), aug2700.subset(range(2000, 2700))
+        fitted = FittedPreprocessor.fit(train)
+        X, _ = transform(test, fitted)
+        columns = []
+        for name in fitted.feature_columns:
+            mapping = fitted.encoders.get(name)
+            values = test.column(name)
+            columns.append(
+                (values.astype(np.float64) - fitted.mean[name]) / fitted.std[name]
+                if mapping is None else
+                np.array([mapping.get(v, len(mapping)) for v in values], dtype=np.float64))
+        want = np.column_stack(columns)
+        assert X.flags.c_contiguous and X.dtype == want.dtype
+        assert X.tobytes() == want.tobytes()
 
     def test_transform_missing_column(self, base450):
         _, _, fitted = fit_transform(base450)
