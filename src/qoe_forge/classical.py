@@ -4,6 +4,18 @@ Split search uses midpoint thresholds with deterministic tie-breaking
 (lower feature index, then lower threshold) so trees are reproducible and
 oracle-comparable. All fits are pure functions of (data, hyperparameters,
 seed).
+
+The three tree fits share one grower, which searches many nodes in one
+block (``_best_splits``): each node is padded to the block's length, each
+(node, feature) lane holds the node's rows in stable value order, and the
+block takes the same cost ops, in the same order, as a search of each node
+alone, so a tree is the one a node-by-node grower gives, byte for byte. A
+decision tree, and each boosting stage, grows a level at a time from one
+stable presort of ``X``, which a split partitions stably; boosting reuses
+the presort for every stage and reads each training row's fit from the
+growth. A forest grows its trees in lockstep: each step splits the next
+node, in preorder, of every tree, which draws its feature subset from its
+own rng, as a tree grown alone does.
 """
 
 from __future__ import annotations
@@ -13,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericalError
-from .params import finite_array, finite_float
+from .params import convert, finite_array, finite_float
 
 
 # The range rule of each scalar fit param, by name: (test, what a value must
@@ -144,86 +156,253 @@ class TreeNode:
         )
 
 
-def _best_split(X, y, min_samples_leaf, feature_indices):
-    """Exact scan over midpoint thresholds of all candidate features at once.
+# A split search holds at most ``_BLOCK_CELLS`` (node, feature, row) cells at
+# once, of which at most ``_PAD_CELLS`` pad nodes to the block's length; a
+# forest grows ``_GROUP_TREES`` trees at once. These bound a fit's transient
+# memory whatever its size or tree count.
+_BLOCK_CELLS = 1 << 16
+_PAD_CELLS = 1 << 13
+_GROUP_TREES = 32
+_LARGEST = np.finfo(np.float64).max
 
-    Returns (feature, threshold) or None. One stable column-wise sort and two
-    column-wise prefix sums give the left/right SSE of every boundary k (left
-    size) of every feature. Boundaries between equal values, or leaving a
-    side smaller than ``min_samples_leaf``, are excluded. Ties are broken by
-    lower feature index, then lower threshold: the first minimum of the cost
-    matrix in feature-major order.
+
+def _best_splits(xs, ys, sizes, min_samples_leaf):
+    """Exact scan over midpoint thresholds, for a block of nodes at once.
+
+    ``xs`` and ``ys`` are (node, lane, row) arrays: each lane holds one
+    candidate feature's values (or anything that orders as they do) of a
+    node's rows in stable sorted order, and their targets. A node of
+    ``sizes[b]`` rows is padded to the block's length with values above all
+    others and 0 targets, which add 0. Two prefix sums per lane give the
+    left/right SSE of every boundary k (left size) between two different
+    values that leaves ``min_samples_leaf`` rows or more on either side, by
+    the ops of a search over the node alone. Ties are broken by lower
+    feature lane, then lower threshold: each node takes the first minimum
+    of its costs in feature-major order.
+
+    Returns (lane, at) arrays, one entry per node: lane is -1 where a node
+    has no split, else the chosen boundary lies between the flat cells
+    ``at`` and ``at + 1``. ``ys`` is overwritten.
     """
-    n = len(y)
-    lo, hi = min_samples_leaf, n - min_samples_leaf  # allowed left sizes
-    Xc = X[:, feature_indices]
-    order = Xc.argsort(axis=0, kind="stable")
-    xs = Xc[order, np.arange(Xc.shape[1])]
-    ys = y[order]
-    cs = ys.cumsum(axis=0)
-    csq = np.multiply(ys, ys, out=ys).cumsum(axis=0)
+    count, width, length = ys.shape
+    lo = min_samples_leaf
+    cs = ys.cumsum(axis=2)
+    csq = np.multiply(ys, ys, out=ys).cumsum(axis=2)
 
-    k = np.arange(lo, hi + 1, dtype=np.float64)[:, None]
-    sum_l = cs[lo - 1 : hi]
-    sq_l = csq[lo - 1 : hi]
+    # A boundary is named by the position q = k - 1 of its last left row.
+    q = np.arange(length - 1)
+    open_ = xs[:, :, 1:] > xs[:, :, :-1]
+    open_ &= (q >= lo - 1) & (q < (sizes - lo)[:, None, None])
+    lane_id, q = np.divmod(np.flatnonzero(open_), length - 1)
+    node = lane_id // width
+    at = lane_id * length + q
+    k = q + 1.0
+    n = sizes.astype(np.float64).take(node)
+    sum_l = cs.take(at)
+    sq_l = csq.take(at)
     # cost = (sq_l - sum_l**2 / k) + (sq_r - sum_r**2 / (n - k)), in place.
-    sum_r = np.subtract(cs[-1], sum_l)
-    sse_r = np.subtract(csq[-1], sq_l)
+    sum_r = np.subtract(cs[:, :, -1].take(lane_id), sum_l)
+    sse_r = np.subtract(csq[:, :, -1].take(lane_id), sq_l)
     np.square(sum_r, out=sum_r)
-    np.divide(sum_r, n - k, out=sum_r)
+    np.divide(sum_r, np.subtract(n, k, out=n), out=sum_r)
     np.subtract(sse_r, sum_r, out=sse_r)
     cost = np.square(sum_l)
     np.divide(cost, k, out=cost)
     np.subtract(sq_l, cost, out=cost)
     np.add(cost, sse_r, out=cost)
-    cost[~(xs[lo : hi + 1] > xs[lo - 1 : hi])] = np.inf
 
-    flat = int(cost.T.argmin())
-    f, i = divmod(flat, cost.shape[0])
-    if not cost[i, f] < np.inf:
-        return None
-    ki = lo + i
-    return int(feature_indices[f]), float(0.5 * (xs[ki - 1, f] + xs[ki, f]))
+    # Each node's first minimum. A NaN minimum, like a NaN first minimum of
+    # one node's cost matrix, finds no split.
+    lane = np.full(count, -1)
+    found = np.zeros(count, dtype=np.int64)
+    counts = np.bincount(node, minlength=count)
+    searched = counts > 0
+    starts = (np.cumsum(counts) - counts)[searched]
+    if len(starts):
+        least = np.minimum.reduceat(cost, starts)
+        first = np.where(cost == np.repeat(least, counts[searched]), np.arange(len(cost)), len(cost))
+        chosen = np.minimum.reduceat(first, starts)[least < np.inf]
+        lane[node[chosen]] = lane_id[chosen] % width
+        found[node[chosen]] = at[chosen]
+    return lane, found
 
 
-def _grow_tree(X, y, max_depth, min_samples_leaf, n_feature_subset=None, rng=None) -> TreeModel:
-    """Grow a tree on checked training data, depth-first from an explicit
-    stack of (node, row indices, depth).
+def _presorted(X, rows):
+    """The lanes of a tree that searches every feature at every split: row
+    ``f`` holds ``rows`` in stable order of feature ``f``, and the last row
+    holds ``rows`` as given."""
+    return np.vstack([rows[X[rows].argsort(axis=0, kind="stable")].T, rows])
 
-    Each split searches every feature, or a subset of ``n_feature_subset``
-    drawn from ``rng`` when that is below the feature count. Left children
-    are popped before right ones, so nodes are split (and the subsets drawn)
+
+def _grow_trees(X, y, roots, max_depth, min_samples_leaf, draws=None, fitted=None):
+    """Grow a tree from each of ``roots`` on checked training data; return
+    their root ``TreeNode``s.
+
+    A node holds its rows as lanes, a (j, size) array of row ids whose last
+    row is the node's training rows in their order (repeats are bootstrap
+    copies). A split partitions every lane stably, left first, so a child's
+    lanes are its parent's filtered. A new node that is a leaf (at
+    ``max_depth``, too small to split, or of one target value) is settled
+    at once; the others wait on their tree's stack.
+
+    Without ``draws`` there is one root, each split searches every feature,
+    and the root's first d lanes come from ``_presorted``: a filtered sorted
+    lane is in the order a fresh stable sort of the child's rows gives.
+    Every step searches all waiting nodes, one level of the tree.
+
+    With ``draws = (n_feature_subset, rngs)`` the roots hold one lane, and
+    each split searches a subset of features drawn from its tree's rng,
+    sorted per node in a block. Each step pops one node from every tree's
+    stack, left child before right, so every tree still splits, and draws,
     in preorder.
+
+    Either way one step's nodes are searched, and partitioned, together in
+    blocks by size. ``fitted``, given with one root, receives each training
+    row's leaf value.
     """
-    d = X.shape[1]
-    root = TreeNode()
-    stack = [(root, np.arange(X.shape[0]), 0)]
-    while stack:
-        node, rows, depth = stack.pop()
-        yn = y[rows]
-        if (
-            (max_depth is not None and depth >= max_depth)
-            or len(rows) < 2 * min_samples_leaf
-            or (yn == yn[0]).all()
+    n, d = X.shape
+    stride = n + 1
+    # Feature f of row r is cell f * stride + r; row n pads a lane.
+    values = np.vstack([X, np.full(d, np.inf)]).T.ravel()
+    yp = np.append(y, 0.0)
+    features = np.arange(d)
+    if draws is None:
+        width = d
+        side = np.zeros(stride, dtype=bool)  # whether a row goes left
+    else:
+        width, rngs = draws
+        # A (value rank, position) key per cell sorts a lane as a stable
+        # argsort of its values does; the pad row ranks last.
+        ranks = np.full((d, stride), n, dtype=np.int64)
+        for f in range(d):
+            ranks[f, :n] = np.unique(X[:, f], return_inverse=True)[1]
+        ranks = (ranks << 32).ravel()
+    depth_limit = np.inf if max_depth is None else max_depth
+    trees = [TreeNode() for _ in roots]
+    stacks = [[] for _ in roots]
+
+    def admit(entries, cat, bounds):
+        """Settle or push each of ``entries``, (stack, node, lanes, depth,
+        may_split) with rows ``cat[s:e]`` for its (s, e) of ``bounds``. A node
+        that may split is pushed unless its targets are all equal; the last
+        entry is pushed first."""
+        yv = y[cat]
+        starts = [s for s, _ in bounds]
+        constant = (np.minimum.reduceat(yv, starts) == np.maximum.reduceat(yv, starts)).tolist()
+        for (stack, node, lanes, depth, may_split), (s, e), same in zip(
+            reversed(entries), reversed(bounds), reversed(constant)
         ):
-            node.value = float(yn.mean())
-            continue
+            if may_split and not same:
+                stack.append((node, lanes, depth))
+            else:
+                node.value = float(np.add.reduce(yv[s:e])) / (e - s)  # yv[s:e].mean()
+                if fitted is not None:
+                    fitted[cat[s:e]] = node.value
 
-        if n_feature_subset is not None and n_feature_subset < d:
-            candidates = np.sort(rng.choice(d, size=n_feature_subset, replace=False))
+    def split_block(block):
+        """Search a block of (stack, node, lanes, depth), largest first, and
+        admit the children of every node that splits, or the node itself as
+        a leaf."""
+        sizes = np.array([item[2].shape[1] for item in block])
+        nodes = np.arange(len(block))
+        length = sizes[0]
+        real = np.arange(length) < sizes[:, None]
+        ids = np.full((len(block), block[0][2].shape[0], length), n)
+        ids.transpose(1, 0, 2)[:, real] = np.concatenate([item[2] for item in block], axis=1)
+        rows = ids[:, -1]
+        if draws is None:
+            xs = values.take(ids[:, :d] + (features * stride)[:, None])
+            lane, at = _best_splits(xs, yp.take(ids[:, :d]), sizes, min_samples_leaf)
+            feature = np.maximum(lane, 0)
+            xs = xs.ravel()
+            thresholds = 0.5 * (xs.take(at) + xs.take(at + 1))
         else:
-            candidates = np.arange(d)
+            candidates = np.sort(np.array([rng.choice(d, size=width, replace=False)
+                                           for rng in (item[4] for item in block)]), axis=1)
+            keys = ranks.take(rows[:, None, :] + candidates[:, :, None] * stride)
+            # The low half of a key is its cell's row slot in ``rows``.
+            keys |= np.arange(rows.size).reshape(len(block), 1, length)
+            keys.sort(axis=2)
+            order = rows.ravel().take(keys & 0xFFFFFFFF)  # the sorted lanes' row ids
+            keys >>= 32
+            lane, at = _best_splits(keys, yp.take(order), sizes, min_samples_leaf)
+            feature = candidates[nodes, lane]
+            columns = feature * stride
+            order = order.ravel()
+            thresholds = 0.5 * (values.take(columns + order.take(at))
+                                + values.take(columns + order.take(at + 1)))
 
-        found = _best_split(X[rows], yn, min_samples_leaf, candidates)
-        if found is None:
-            node.value = float(yn.mean())
-            continue
-        node.feature, node.threshold = found
-        node.left, node.right = TreeNode(), TreeNode()
-        mask = X[rows, node.feature] <= node.threshold
-        stack.append((node.right, rows[~mask], depth + 1))
-        stack.append((node.left, rows[mask], depth + 1))
-    return TreeModel(root=root, max_depth=max_depth, min_samples_leaf=min_samples_leaf)
+        # A node without a split keeps all its rows on the left: every finite
+        # value is at or below the largest float, and the +inf pads are not.
+        cut = np.where(lane >= 0, thresholds, _LARGEST)
+        left = values.take(rows + (feature * stride)[:, None]) <= cut[:, None]
+        n_left = np.count_nonzero(left, axis=1)
+        if draws is None and block[0][3] + 1 < depth_limit:
+            # The children search again: partition every lane. A row is in
+            # one node of a level, so ``side`` holds each row's way.
+            side[rows] = left
+            left = side.take(ids)
+        else:
+            ids, left = ids[:, -1:], left[:, None, :]
+        shape = ids.shape
+        moves = np.argsort(~left, axis=2, kind="stable")
+        moves += (np.arange(shape[0] * shape[1]) * length).reshape(shape[0], shape[1], 1)
+        ids = ids.ravel().take(moves)
+
+        entries, bounds, offset = [], [], 0
+        for b, ((stack, node, _, depth, *_), f, threshold, size, k) in enumerate(zip(
+            block, feature.tolist(), thresholds.tolist(), sizes.tolist(), n_left.tolist(),
+        )):
+            if k == size:  # no split
+                entries.append((stack, node, None, depth, False))
+                bounds.append((offset, offset + size))
+            else:
+                node.feature, node.threshold = f, threshold
+                node.left, node.right = TreeNode(), TreeNode()
+                right = ids[b, :, k:size]
+                deeper = depth + 1 < depth_limit
+                entries += [
+                    (stack, node.left, ids[b, :, :k], depth + 1, deeper and k >= split_size),
+                    # A forest's right child waits while its left subtree
+                    # grows: it keeps a copy of its rows, not a view of the
+                    # block.
+                    (stack, node.right, right if draws is None else right.copy(), depth + 1,
+                     deeper and size - k >= split_size),
+                ]
+                bounds += [(offset, offset + k), (offset + k, offset + size)]
+            offset += size
+        admit(entries, ids[:, -1][real], bounds)
+
+    split_size = 2 * min_samples_leaf  # the fewest rows a split can leave
+    sizes = [lanes.shape[1] for lanes in roots]
+    ends = np.cumsum(sizes).tolist()
+    admit(
+        [(stack, node, lanes, 0, 0 < depth_limit and size >= split_size)
+         for stack, node, lanes, size in zip(stacks, trees, roots, sizes)],
+        np.concatenate([lanes[-1] for lanes in roots]),
+        [(e - size, e) for e, size in zip(ends, sizes)],
+    )
+    while True:
+        if draws is None:
+            step = [(stack, *entry) for stack in stacks for entry in stack]
+            for stack in stacks:
+                stack.clear()
+        else:
+            step = [(stack, *stack.pop(), rng) for stack, rng in zip(stacks, rngs) if stack]
+        if not step:
+            return trees
+        step.sort(key=lambda item: -item[2].shape[1])
+        sizes = [item[2].shape[1] for item in step]
+        start = 0
+        while start < len(step):
+            stop, padding = start + 1, 0
+            while stop < len(step):
+                padding += (sizes[start] - sizes[stop]) * width
+                if (stop + 1 - start) * width * sizes[start] > _BLOCK_CELLS or padding > _PAD_CELLS:
+                    break
+                stop += 1
+            split_block(step[start:stop])
+            start = stop
 
 
 @dataclass
@@ -268,17 +447,21 @@ class TreeModel:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "TreeModel":
+        max_depth = convert("max_depth", "int | None", doc["max_depth"])
+        min_samples_leaf = convert("min_samples_leaf", "int", doc["min_samples_leaf"])
+        check_fit_params(max_depth=max_depth, min_samples_leaf=min_samples_leaf)
         return cls(
             root=TreeNode.from_doc(doc["root"]),
-            max_depth=doc["max_depth"],
-            min_samples_leaf=int(doc["min_samples_leaf"]),
+            max_depth=max_depth,
+            min_samples_leaf=min_samples_leaf,
         )
 
 
 def fit_tree(X, y, max_depth: int | None = 12, min_samples_leaf: int = 2) -> TreeModel:
     """One tree whose every split searches every feature."""
     X, y = _training_data(X, y, max_depth=max_depth, min_samples_leaf=min_samples_leaf)
-    return _grow_tree(X, y, max_depth, min_samples_leaf)
+    [root] = _grow_trees(X, y, [_presorted(X, np.arange(len(y)))], max_depth, min_samples_leaf)
+    return TreeModel(root=root, max_depth=max_depth, min_samples_leaf=min_samples_leaf)
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +489,11 @@ class ForestModel:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "ForestModel":
+        n_feature_subset = convert("n_feature_subset", "int", doc["n_feature_subset"])
+        check_fit_params(n_feature_subset=n_feature_subset)
         return cls(
             trees=[TreeModel.from_doc(t) for t in doc["trees"]],
-            n_feature_subset=int(doc["n_feature_subset"]),
+            n_feature_subset=n_feature_subset,
         )
 
 
@@ -330,15 +515,21 @@ def fit_forest(
     n, d = X.shape
     if n_feature_subset is None:
         n_feature_subset = max(1, d // 3)
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_trees)]
     trees = []
-    for child_seq in np.random.SeedSequence(seed).spawn(n_trees):
-        rng = np.random.default_rng(child_seq)
-        if bootstrap:
-            idx = rng.integers(0, n, size=n)
-            Xb, yb = X[idx], y[idx]
+    for start in range(0, n_trees, _GROUP_TREES):
+        group = rngs[start : start + _GROUP_TREES]
+        # A tree's rows are global row ids, in bootstrap order, so ties sort
+        # as they would on the tree's own copy of its rows.
+        rows = [rng.integers(0, n, size=n) if bootstrap else np.arange(n) for rng in group]
+        if n_feature_subset < d:
+            roots = _grow_trees(X, y, [r[None, :] for r in rows], max_depth, min_samples_leaf,
+                                (n_feature_subset, group))
         else:
-            Xb, yb = X, y
-        trees.append(_grow_tree(Xb, yb, max_depth, min_samples_leaf, n_feature_subset, rng))
+            roots = [root for r in rows
+                     for root in _grow_trees(X, y, [_presorted(X, r)], max_depth, min_samples_leaf)]
+        trees += [TreeModel(root=root, max_depth=max_depth, min_samples_leaf=min_samples_leaf)
+                  for root in roots]
     return ForestModel(trees=trees, n_feature_subset=n_feature_subset)
 
 
@@ -399,10 +590,12 @@ def fit_boosted(
     pred = np.full(len(y), initial)
     stages = []
     curve = []
+    lanes = _presorted(X, np.arange(len(y)))
+    fitted = np.empty(len(y))
     for _ in range(n_stages):
-        stage = _grow_tree(X, y - pred, max_depth, min_samples_leaf)
-        pred = pred + learning_rate * stage.predict(X)
-        stages.append(stage)
+        [root] = _grow_trees(X, y - pred, [lanes], max_depth, min_samples_leaf, fitted=fitted)
+        pred = pred + learning_rate * fitted
+        stages.append(TreeModel(root=root, max_depth=max_depth, min_samples_leaf=min_samples_leaf))
         curve.append(float(np.mean((y - pred) ** 2)))
     return BoostedModel(
         initial=initial, stages=stages, learning_rate=learning_rate,

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from qoe_forge.classical import BoostedModel, ForestModel, TreeModel, TreeNode
+
 
 def _sse(values: np.ndarray) -> float:
     k = len(values)
@@ -87,6 +89,129 @@ def brute_force_tree(X, y, max_depth=None, min_samples_leaf=1, depth=0) -> Oracl
 def brute_force_tree_predict(root: OracleNode, X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     return np.array([root.predict_row(row) for row in X])
+
+
+# The per-node tree grower: one split search, and one partition, per node.
+# ``classical`` grows trees in blocks of nodes and must give byte-equal
+# model documents.
+
+
+def _best_split(X, y, min_samples_leaf, feature_indices):
+    """Exact scan over midpoint thresholds of all candidate features at once.
+
+    Returns (feature, threshold) or None. One stable column-wise sort and two
+    column-wise prefix sums give the left/right SSE of every boundary k (left
+    size) of every feature. Boundaries between equal values, or leaving a
+    side smaller than ``min_samples_leaf``, are excluded. Ties are broken by
+    lower feature index, then lower threshold: the first minimum of the cost
+    matrix in feature-major order.
+    """
+    n = len(y)
+    lo, hi = min_samples_leaf, n - min_samples_leaf  # allowed left sizes
+    Xc = X[:, feature_indices]
+    order = Xc.argsort(axis=0, kind="stable")
+    xs = Xc[order, np.arange(Xc.shape[1])]
+    ys = y[order]
+    cs = ys.cumsum(axis=0)
+    csq = np.multiply(ys, ys, out=ys).cumsum(axis=0)
+
+    k = np.arange(lo, hi + 1, dtype=np.float64)[:, None]
+    sum_l = cs[lo - 1 : hi]
+    sq_l = csq[lo - 1 : hi]
+    # cost = (sq_l - sum_l**2 / k) + (sq_r - sum_r**2 / (n - k)), in place.
+    sum_r = np.subtract(cs[-1], sum_l)
+    sse_r = np.subtract(csq[-1], sq_l)
+    np.square(sum_r, out=sum_r)
+    np.divide(sum_r, n - k, out=sum_r)
+    np.subtract(sse_r, sum_r, out=sse_r)
+    cost = np.square(sum_l)
+    np.divide(cost, k, out=cost)
+    np.subtract(sq_l, cost, out=cost)
+    np.add(cost, sse_r, out=cost)
+    cost[~(xs[lo : hi + 1] > xs[lo - 1 : hi])] = np.inf
+
+    flat = int(cost.T.argmin())
+    f, i = divmod(flat, cost.shape[0])
+    if not cost[i, f] < np.inf:
+        return None
+    ki = lo + i
+    return int(feature_indices[f]), float(0.5 * (xs[ki - 1, f] + xs[ki, f]))
+
+
+def _grow_tree(X, y, max_depth, min_samples_leaf, n_feature_subset=None, rng=None) -> TreeModel:
+    """Grow a tree on checked training data, depth-first from an explicit
+    stack of (node, row indices, depth).
+
+    Each split searches every feature, or a subset of ``n_feature_subset``
+    drawn from ``rng`` when that is below the feature count. Left children
+    are popped before right ones, so nodes are split (and the subsets drawn)
+    in preorder.
+    """
+    d = X.shape[1]
+    root = TreeNode()
+    stack = [(root, np.arange(X.shape[0]), 0)]
+    while stack:
+        node, rows, depth = stack.pop()
+        yn = y[rows]
+        if (
+            (max_depth is not None and depth >= max_depth)
+            or len(rows) < 2 * min_samples_leaf
+            or (yn == yn[0]).all()
+        ):
+            node.value = float(yn.mean())
+            continue
+
+        if n_feature_subset is not None and n_feature_subset < d:
+            candidates = np.sort(rng.choice(d, size=n_feature_subset, replace=False))
+        else:
+            candidates = np.arange(d)
+
+        found = _best_split(X[rows], yn, min_samples_leaf, candidates)
+        if found is None:
+            node.value = float(yn.mean())
+            continue
+        node.feature, node.threshold = found
+        node.left, node.right = TreeNode(), TreeNode()
+        mask = X[rows, node.feature] <= node.threshold
+        stack.append((node.right, rows[~mask], depth + 1))
+        stack.append((node.left, rows[mask], depth + 1))
+    return TreeModel(root=root, max_depth=max_depth, min_samples_leaf=min_samples_leaf)
+
+
+def loop_fit_forest(X, y, n_trees=100, n_feature_subset=None, seed=0, max_depth=12,
+                    min_samples_leaf=2, bootstrap=True) -> ForestModel:
+    """``fit_forest`` one tree after another, each on its own copy of its
+    bootstrap rows."""
+    X, y = np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    n, d = X.shape
+    if n_feature_subset is None:
+        n_feature_subset = max(1, d // 3)
+    trees = []
+    for child_seq in np.random.SeedSequence(seed).spawn(n_trees):
+        rng = np.random.default_rng(child_seq)
+        if bootstrap:
+            idx = rng.integers(0, n, size=n)
+            Xb, yb = X[idx], y[idx]
+        else:
+            Xb, yb = X, y
+        trees.append(_grow_tree(Xb, yb, max_depth, min_samples_leaf, n_feature_subset, rng))
+    return ForestModel(trees=trees, n_feature_subset=n_feature_subset)
+
+
+def loop_fit_boosted(X, y, n_stages=200, learning_rate=0.1, max_depth=3,
+                     min_samples_leaf=1) -> BoostedModel:
+    """``fit_boosted`` with each stage's fit read back by ``stage.predict``."""
+    X, y = np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    initial = float(np.mean(y))
+    pred = np.full(len(y), initial)
+    stages, curve = [], []
+    for _ in range(n_stages):
+        stage = _grow_tree(X, y - pred, max_depth, min_samples_leaf)
+        pred = pred + learning_rate * stage.predict(X)
+        stages.append(stage)
+        curve.append(float(np.mean((y - pred) ** 2)))
+    return BoostedModel(initial=initial, stages=stages, learning_rate=learning_rate,
+                        train_mse_curve=curve)
 
 
 def bisection_simplex_projection(z: np.ndarray, iters: int = 100) -> np.ndarray:

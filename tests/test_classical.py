@@ -3,6 +3,7 @@
 import hashlib
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,15 @@ from qoe_forge.classical import (
 from qoe_forge.errors import InvalidArgumentError
 from qoe_forge.preprocessing import SplitSpec, fit_transform, split, transform
 
-from oracles import brute_force_best_split, brute_force_tree, brute_force_tree_predict
+from qoe_forge import classical
+from oracles import (
+    _grow_tree,
+    brute_force_best_split,
+    brute_force_tree,
+    brute_force_tree_predict,
+    loop_fit_boosted,
+    loop_fit_forest,
+)
 
 
 def integer_problem(rng, n_max=50, d_max=5):
@@ -37,6 +46,10 @@ def integer_problem(rng, n_max=50, d_max=5):
     X = rng.integers(0, 8, size=(n, d)).astype(np.float64)
     y = rng.integers(0, 16, size=n).astype(np.float64)
     return X, y
+
+
+def doc_bytes(model) -> bytes:
+    return json.dumps(model.to_doc(), sort_keys=True).encode()
 
 
 class TestLinear:
@@ -209,6 +222,120 @@ def test_tree_model_docs_are_pinned(aug2700):
         for name, model in models.items()
     }
     assert digests == MODEL_DOC_DIGESTS
+
+
+# The same for fits of the default sizes on that split. The 100-tree forest
+# grows more than one lockstep group of trees and searches blocks at the
+# cell bound, which the 10-tree pin never reaches.
+DEFAULT_SIZE_DOC_DIGESTS = {
+    "forest": "a3049dd731b66541d7897fa85164269fb88ab4983d418945a91773b9ba28b6b6",
+    "boosted": "8010069e5f0b56ef1e3391f47bbbf6529e6e58dfada026aba6d660526fabcd12",
+}
+
+
+def test_default_size_docs_are_pinned(aug2700):
+    train, _ = split(aug2700, SplitSpec())
+    X, y, _ = fit_transform(train)
+    models = {
+        "forest": fit_forest(X, y, n_trees=100, seed=7),
+        "boosted": fit_boosted(X, y, n_stages=200),
+    }
+    digests = {
+        name: hashlib.sha256(doc_bytes(model)).hexdigest() for name, model in models.items()
+    }
+    assert digests == DEFAULT_SIZE_DOC_DIGESTS
+
+
+def test_forest_transient_memory_is_bounded(aug2700):
+    # The largest split searches are the first ones, of every root. They are
+    # cut to blocks of _BLOCK_CELLS cells, and trees grow _GROUP_TREES at a
+    # time: the transient peak (the peak less what the fit keeps) is about
+    # 5.5 MB here. One block for all 100 roots at once peaked near 48 MB.
+    train, _ = split(aug2700, SplitSpec())
+    X, y, _ = fit_transform(train)
+    tracemalloc.start()
+    try:
+        fit_forest(X, y, n_trees=100, seed=7, max_depth=2)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - retained < 16e6, (peak, retained)
+
+
+# Settings of the batched grower's block constants: the defaults, one node
+# per block, blocks small enough that most steps cut and pad, and blocks of
+# equal-size nodes only. Each puts node sizes on both sides of an edge.
+BLOCK_EDGES = {
+    "default": {},
+    "one_node_per_block": {"_BLOCK_CELLS": 1},
+    "small_blocks": {"_BLOCK_CELLS": 256, "_PAD_CELLS": 24, "_GROUP_TREES": 3},
+    "no_padding": {"_PAD_CELLS": 0},
+}
+
+
+def growth_problem(kind, n, d, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "continuous":
+        return rng.normal(size=(n, d)), rng.normal(size=n)
+    # Integer values: many tied feature values and tied targets.
+    X = rng.integers(0, 4, size=(n, d)).astype(np.float64)
+    if kind == "ties":
+        return X, rng.integers(0, 6, size=n).astype(np.float64)
+    if kind == "constant_subtrees":
+        return X, np.where(X[:, 0] < 2, 3.0, rng.normal(size=n))
+    return X, np.full(n, 2.5)  # one target value: every tree is a leaf
+
+
+GROWTH_PROBLEMS = ["continuous", "ties", "constant_subtrees", "constant"]
+
+
+class TestBatchedGrowthMatchesPerNodeGrowth:
+    """Every fit's document is byte for byte the one the per-node grower of
+    ``oracles`` gives, one split search and one partition per node."""
+
+    @pytest.fixture(params=list(BLOCK_EDGES))
+    def edges(self, request, monkeypatch):
+        for name, value in BLOCK_EDGES[request.param].items():
+            monkeypatch.setattr(classical, name, value)
+
+    @pytest.mark.parametrize("kind", GROWTH_PROBLEMS)
+    def test_tree(self, edges, kind):
+        X, y = growth_problem(kind, 70, 4, seed=40)
+        for min_samples_leaf in (1, 2, 3):
+            for max_depth in (None, 0, 1, 4):
+                assert doc_bytes(fit_tree(X, y, max_depth, min_samples_leaf)) == doc_bytes(
+                    _grow_tree(X, y, max_depth, min_samples_leaf)
+                ), (min_samples_leaf, max_depth)
+
+    @pytest.mark.parametrize("kind", GROWTH_PROBLEMS)
+    def test_forest(self, edges, kind):
+        X, y = growth_problem(kind, 50, 4, seed=41)
+        # (n_feature_subset, bootstrap, min_samples_leaf, max_depth); a
+        # subset of d or more searches every feature.
+        for subset, bootstrap, leaf, depth in [
+            (1, True, 1, None), (2, True, 2, 3), (3, False, 3, None), (4, True, 1, 2),
+            (6, False, 2, None), (2, True, 1, 0), (1, False, 2, 1),
+        ]:
+            params = dict(n_trees=7, n_feature_subset=subset, seed=3, max_depth=depth,
+                          min_samples_leaf=leaf, bootstrap=bootstrap)
+            assert doc_bytes(fit_forest(X, y, **params)) == doc_bytes(
+                loop_fit_forest(X, y, **params)
+            ), params
+
+    @pytest.mark.parametrize("kind", GROWTH_PROBLEMS)
+    def test_boosting(self, edges, kind):
+        X, y = growth_problem(kind, 60, 3, seed=42)
+        for leaf, depth in [(1, 3), (2, None), (3, 1), (1, 0)]:
+            params = dict(n_stages=4, learning_rate=0.5, max_depth=depth, min_samples_leaf=leaf)
+            assert doc_bytes(fit_boosted(X, y, **params)) == doc_bytes(
+                loop_fit_boosted(X, y, **params)
+            ), params
+
+    @pytest.mark.parametrize("bootstrap", [True, False])
+    def test_more_trees_than_the_lockstep_group(self, bootstrap):
+        X, y = growth_problem("ties", 40, 5, seed=43)
+        params = dict(n_trees=classical._GROUP_TREES + 5, seed=9, bootstrap=bootstrap)
+        assert doc_bytes(fit_forest(X, y, **params)) == doc_bytes(loop_fit_forest(X, y, **params))
 
 
 class TestForest:

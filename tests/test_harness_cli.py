@@ -554,7 +554,20 @@ class TestCli:
          lambda doc: doc["preprocessor"]["encoders"]["device"].update(
              dict.fromkeys(doc["preprocessor"]["encoders"]["device"], 0)),
          "column 'device' needs the label codes"),
-    ], ids=["rate-negative", "rate-above-1", "codes-all-zero"])
+        # A tree's fit params, and a forest's, once loaded whatever they were.
+        ("decision_tree", "", lambda doc: doc["state"].update(max_depth="deep"),
+         "max_depth: expected int | None"),
+        ("decision_tree", "", lambda doc: doc["state"].update(max_depth=-1),
+         "max_depth must be None or >= 0"),
+        ("decision_tree", "", lambda doc: doc["state"].update(min_samples_leaf=-5),
+         "min_samples_leaf must be >= 1"),
+        ("random_forest", "", lambda doc: doc["state"].update(n_feature_subset=-3),
+         "n_feature_subset must be >= 1"),
+        ("random_forest", "", lambda doc: doc["state"]["trees"][0].update(min_samples_leaf=0),
+         "min_samples_leaf must be >= 1"),
+    ], ids=["rate-negative", "rate-above-1", "codes-all-zero", "tree-depth-not-int",
+            "tree-depth-negative", "tree-leaf-negative", "forest-subset-negative",
+            "forest-tree-leaf-0"])
     def test_evaluate_document_value_out_of_range_exits_1(
             self, tmp_path, capsys, kind, extra, edit, message):
         base, model = tmp_path / "b.csv", tmp_path / "m.json"
