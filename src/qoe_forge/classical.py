@@ -6,16 +6,16 @@ oracle-comparable. All fits are pure functions of (data, hyperparameters,
 seed).
 
 The three tree fits share one grower, which searches many nodes in one
-block (``_best_splits``): each node is padded to the block's length, each
-(node, feature) lane holds the node's rows in stable value order, and the
-block takes the same cost ops, in the same order, as a search of each node
-alone, so a tree is the one a node-by-node grower gives, byte for byte. A
-decision tree, and each boosting stage, grows a level at a time from one
-stable presort of ``X``, which a split partitions stably; boosting reuses
-the presort for every stage and reads each training row's fit from the
-growth. A forest grows its trees in lockstep: each step splits the next
-node, in preorder, of every tree, which draws its feature subset from its
-own rng, as a tree grown alone does.
+block (``_best_splits``): a node holds only its row ids, each block sorts
+every (node, candidate feature) lane by (value rank, position) keys from
+the fit's one ``_cells`` table, pads each node to the block's length, and
+takes the same cost ops, in the same order, as a search of each node alone,
+so a tree is the one a node-by-node grower gives, byte for byte. A decision
+tree, each boosting stage, and a forest whose subset is every feature grow
+a level at a time; boosting reads each training row's fit from the growth.
+A forest that draws its subsets grows its trees in lockstep: each step
+splits the next node, in preorder, of every tree, which draws its feature
+subset from its own rng, as a tree grown alone does.
 """
 
 from __future__ import annotations
@@ -148,8 +148,11 @@ class TreeNode:
     def from_doc(cls, doc: dict) -> "TreeNode":
         if "value" in doc:
             return cls(value=finite_float("leaf value", doc["value"]))
+        feature = convert("feature", "int", doc["feature"])
+        if feature < 0:
+            raise InvalidArgumentError(f"feature must be >= 0, got {feature}")
         return cls(
-            feature=int(doc["feature"]),
+            feature=feature,
             threshold=finite_float("threshold", doc["threshold"]),
             left=cls.from_doc(doc["left"]),
             right=cls.from_doc(doc["right"]),
@@ -227,130 +230,113 @@ def _best_splits(xs, ys, sizes, min_samples_leaf):
     return lane, found
 
 
-def _presorted(X, rows):
-    """The lanes of a tree that searches every feature at every split: row
-    ``f`` holds ``rows`` in stable order of feature ``f``, and the last row
-    holds ``rows`` as given."""
-    return np.vstack([rows[X[rows].argsort(axis=0, kind="stable")].T, rows])
+def _cells(X):
+    """The tables a split search reads, for checked training data: feature f
+    of row r is cell ``f * (n + 1) + r``, and row n pads a lane. ``values``
+    holds each cell's value, +inf on the pad row; ``ranks`` holds the rank of
+    the value among its feature's values, the pad row last, in the high half
+    of an int64. A fit builds them once."""
+    n, d = X.shape
+    values = np.vstack([X, np.full(d, np.inf)]).T.ravel()
+    ranks = np.full((d, n + 1), n, dtype=np.int64)
+    for f in range(d):
+        ranks[f, :n] = np.unique(X[:, f], return_inverse=True)[1]
+    return values, (ranks << 32).ravel()
 
 
-def _grow_trees(X, y, roots, max_depth, min_samples_leaf, draws=None, fitted=None):
-    """Grow a tree from each of ``roots`` on checked training data; return
+def _grow_trees(cells, y, roots, max_depth, min_samples_leaf, draws=None, fitted=None):
+    """Grow a tree from each of ``roots``, arrays of training row ids (repeats
+    are bootstrap copies), on the ``_cells`` of checked training data; return
     their root ``TreeNode``s.
 
-    A node holds its rows as lanes, a (j, size) array of row ids whose last
-    row is the node's training rows in their order (repeats are bootstrap
-    copies). A split partitions every lane stably, left first, so a child's
-    lanes are its parent's filtered. A new node that is a leaf (at
-    ``max_depth``, too small to split, or of one target value) is settled
-    at once; the others wait on their tree's stack.
+    A node holds only its row ids. A split search sorts each candidate
+    feature's lane of a node by (value rank, position) keys, which orders it
+    as a stable argsort of the node's values does, and a split partitions
+    the rows stably, left first, so a child's rows are in its parent's
+    order. A new node that is a leaf (at ``max_depth``, too small to split,
+    or of one target value) is settled at once; the others wait on their
+    tree's stack.
 
-    Without ``draws`` there is one root, each split searches every feature,
-    and the root's first d lanes come from ``_presorted``: a filtered sorted
-    lane is in the order a fresh stable sort of the child's rows gives.
-    Every step searches all waiting nodes, one level of the tree.
-
-    With ``draws = (n_feature_subset, rngs)`` the roots hold one lane, and
-    each split searches a subset of features drawn from its tree's rng,
-    sorted per node in a block. Each step pops one node from every tree's
-    stack, left child before right, so every tree still splits, and draws,
-    in preorder.
+    ``draws`` selects the candidates and the step order. Without it every
+    split searches every feature, and each step searches all waiting nodes,
+    one level of every tree. With ``draws = (n_feature_subset, rngs)`` each
+    split searches a subset of features drawn from its tree's rng, and each
+    step pops one node from every tree's stack, left child before right, so
+    every tree splits, and draws, in preorder.
 
     Either way one step's nodes are searched, and partitioned, together in
     blocks by size. ``fitted``, given with one root, receives each training
     row's leaf value.
     """
-    n, d = X.shape
+    values, ranks = cells
+    n = len(y)
     stride = n + 1
-    # Feature f of row r is cell f * stride + r; row n pads a lane.
-    values = np.vstack([X, np.full(d, np.inf)]).T.ravel()
+    d = len(values) // stride
     yp = np.append(y, 0.0)
-    features = np.arange(d)
     if draws is None:
         width = d
-        side = np.zeros(stride, dtype=bool)  # whether a row goes left
     else:
         width, rngs = draws
-        # A (value rank, position) key per cell sorts a lane as a stable
-        # argsort of its values does; the pad row ranks last.
-        ranks = np.full((d, stride), n, dtype=np.int64)
-        for f in range(d):
-            ranks[f, :n] = np.unique(X[:, f], return_inverse=True)[1]
-        ranks = (ranks << 32).ravel()
     depth_limit = np.inf if max_depth is None else max_depth
     trees = [TreeNode() for _ in roots]
     stacks = [[] for _ in roots]
 
     def admit(entries, cat, bounds):
-        """Settle or push each of ``entries``, (stack, node, lanes, depth,
+        """Settle or push each of ``entries``, (stack, node, rows, depth,
         may_split) with rows ``cat[s:e]`` for its (s, e) of ``bounds``. A node
         that may split is pushed unless its targets are all equal; the last
         entry is pushed first."""
         yv = y[cat]
         starts = [s for s, _ in bounds]
         constant = (np.minimum.reduceat(yv, starts) == np.maximum.reduceat(yv, starts)).tolist()
-        for (stack, node, lanes, depth, may_split), (s, e), same in zip(
+        for (stack, node, rows, depth, may_split), (s, e), same in zip(
             reversed(entries), reversed(bounds), reversed(constant)
         ):
             if may_split and not same:
-                stack.append((node, lanes, depth))
+                stack.append((node, rows, depth))
             else:
                 node.value = float(np.add.reduce(yv[s:e])) / (e - s)  # yv[s:e].mean()
                 if fitted is not None:
                     fitted[cat[s:e]] = node.value
 
     def split_block(block):
-        """Search a block of (stack, node, lanes, depth), largest first, and
-        admit the children of every node that splits, or the node itself as
-        a leaf."""
-        sizes = np.array([item[2].shape[1] for item in block])
-        nodes = np.arange(len(block))
-        length = sizes[0]
+        """Search a block of (stack, node, rows, depth, rng), largest first,
+        and admit the children of every node that splits, or the node itself
+        as a leaf."""
+        sizes = np.array([len(item[2]) for item in block])
+        count, length = len(block), sizes[0]
         real = np.arange(length) < sizes[:, None]
-        ids = np.full((len(block), block[0][2].shape[0], length), n)
-        ids.transpose(1, 0, 2)[:, real] = np.concatenate([item[2] for item in block], axis=1)
-        rows = ids[:, -1]
+        rows = np.full((count, length), n)
+        rows[real] = np.concatenate([item[2] for item in block])
         if draws is None:
-            xs = values.take(ids[:, :d] + (features * stride)[:, None])
-            lane, at = _best_splits(xs, yp.take(ids[:, :d]), sizes, min_samples_leaf)
-            feature = np.maximum(lane, 0)
-            xs = xs.ravel()
-            thresholds = 0.5 * (xs.take(at) + xs.take(at + 1))
+            candidates = np.broadcast_to(np.arange(d), (count, d))
         else:
-            candidates = np.sort(np.array([rng.choice(d, size=width, replace=False)
-                                           for rng in (item[4] for item in block)]), axis=1)
-            keys = ranks.take(rows[:, None, :] + candidates[:, :, None] * stride)
-            # The low half of a key is its cell's row slot in ``rows``.
-            keys |= np.arange(rows.size).reshape(len(block), 1, length)
-            keys.sort(axis=2)
-            order = rows.ravel().take(keys & 0xFFFFFFFF)  # the sorted lanes' row ids
-            keys >>= 32
-            lane, at = _best_splits(keys, yp.take(order), sizes, min_samples_leaf)
-            feature = candidates[nodes, lane]
-            columns = feature * stride
-            order = order.ravel()
-            thresholds = 0.5 * (values.take(columns + order.take(at))
-                                + values.take(columns + order.take(at + 1)))
+            candidates = np.sort(np.array([item[4].choice(d, size=width, replace=False)
+                                           for item in block]), axis=1)
+        keys = ranks.take(rows[:, None, :] + candidates[:, :, None] * stride)
+        # The low half of a key is its cell's row slot in ``rows``.
+        keys |= np.arange(rows.size).reshape(count, 1, length)
+        keys.sort(axis=2)
+        order = rows.ravel().take(keys & 0xFFFFFFFF)  # the sorted lanes' row ids
+        keys >>= 32
+        lane, at = _best_splits(keys, yp.take(order), sizes, min_samples_leaf)
+        feature = candidates[np.arange(count), lane]
+        columns = feature * stride
+        order = order.ravel()
+        thresholds = 0.5 * (values.take(columns + order.take(at))
+                            + values.take(columns + order.take(at + 1)))
 
         # A node without a split keeps all its rows on the left: every finite
         # value is at or below the largest float, and the +inf pads are not.
         cut = np.where(lane >= 0, thresholds, _LARGEST)
-        left = values.take(rows + (feature * stride)[:, None]) <= cut[:, None]
+        left = values.take(rows + columns[:, None]) <= cut[:, None]
         n_left = np.count_nonzero(left, axis=1)
-        if draws is None and block[0][3] + 1 < depth_limit:
-            # The children search again: partition every lane. A row is in
-            # one node of a level, so ``side`` holds each row's way.
-            side[rows] = left
-            left = side.take(ids)
-        else:
-            ids, left = ids[:, -1:], left[:, None, :]
-        shape = ids.shape
-        moves = np.argsort(~left, axis=2, kind="stable")
-        moves += (np.arange(shape[0] * shape[1]) * length).reshape(shape[0], shape[1], 1)
-        ids = ids.ravel().take(moves)
+        moves = np.argsort(~left, axis=1, kind="stable")
+        moves += (np.arange(count) * length)[:, None]
+        rows = rows.ravel().take(moves)
 
         entries, bounds, offset = [], [], 0
-        for b, ((stack, node, _, depth, *_), f, threshold, size, k) in enumerate(zip(
+        for b, ((stack, node, _, depth, _), f, threshold, size, k) in enumerate(zip(
             block, feature.tolist(), thresholds.tolist(), sizes.tolist(), n_left.tolist(),
         )):
             if k == size:  # no split
@@ -359,40 +345,38 @@ def _grow_trees(X, y, roots, max_depth, min_samples_leaf, draws=None, fitted=Non
             else:
                 node.feature, node.threshold = f, threshold
                 node.left, node.right = TreeNode(), TreeNode()
-                right = ids[b, :, k:size]
                 deeper = depth + 1 < depth_limit
                 entries += [
-                    (stack, node.left, ids[b, :, :k], depth + 1, deeper and k >= split_size),
-                    # A forest's right child waits while its left subtree
-                    # grows: it keeps a copy of its rows, not a view of the
-                    # block.
-                    (stack, node.right, right if draws is None else right.copy(), depth + 1,
+                    (stack, node.left, rows[b, :k], depth + 1, deeper and k >= split_size),
+                    # A right child may wait while its left subtree grows: it
+                    # keeps a copy of its rows, not a view of the block.
+                    (stack, node.right, rows[b, k:size].copy(), depth + 1,
                      deeper and size - k >= split_size),
                 ]
                 bounds += [(offset, offset + k), (offset + k, offset + size)]
             offset += size
-        admit(entries, ids[:, -1][real], bounds)
+        admit(entries, rows[real], bounds)
 
     split_size = 2 * min_samples_leaf  # the fewest rows a split can leave
-    sizes = [lanes.shape[1] for lanes in roots]
+    sizes = [len(rows) for rows in roots]
     ends = np.cumsum(sizes).tolist()
     admit(
-        [(stack, node, lanes, 0, 0 < depth_limit and size >= split_size)
-         for stack, node, lanes, size in zip(stacks, trees, roots, sizes)],
-        np.concatenate([lanes[-1] for lanes in roots]),
+        [(stack, node, rows, 0, 0 < depth_limit and size >= split_size)
+         for stack, node, rows, size in zip(stacks, trees, roots, sizes)],
+        np.concatenate(roots),
         [(e - size, e) for e, size in zip(ends, sizes)],
     )
     while True:
         if draws is None:
-            step = [(stack, *entry) for stack in stacks for entry in stack]
+            step = [(stack, *entry, None) for stack in stacks for entry in stack]
             for stack in stacks:
                 stack.clear()
         else:
             step = [(stack, *stack.pop(), rng) for stack, rng in zip(stacks, rngs) if stack]
         if not step:
             return trees
-        step.sort(key=lambda item: -item[2].shape[1])
-        sizes = [item[2].shape[1] for item in step]
+        step.sort(key=lambda item: -len(item[2]))
+        sizes = [len(item[2]) for item in step]
         start = 0
         while start < len(step):
             stop, padding = start + 1, 0
@@ -460,7 +444,7 @@ class TreeModel:
 def fit_tree(X, y, max_depth: int | None = 12, min_samples_leaf: int = 2) -> TreeModel:
     """One tree whose every split searches every feature."""
     X, y = _training_data(X, y, max_depth=max_depth, min_samples_leaf=min_samples_leaf)
-    [root] = _grow_trees(X, y, [_presorted(X, np.arange(len(y)))], max_depth, min_samples_leaf)
+    [root] = _grow_trees(_cells(X), y, [np.arange(len(y))], max_depth, min_samples_leaf)
     return TreeModel(root=root, max_depth=max_depth, min_samples_leaf=min_samples_leaf)
 
 
@@ -515,21 +499,18 @@ def fit_forest(
     n, d = X.shape
     if n_feature_subset is None:
         n_feature_subset = max(1, d // 3)
+    cells = _cells(X)
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_trees)]
     trees = []
     for start in range(0, n_trees, _GROUP_TREES):
         group = rngs[start : start + _GROUP_TREES]
         # A tree's rows are global row ids, in bootstrap order, so ties sort
         # as they would on the tree's own copy of its rows.
-        rows = [rng.integers(0, n, size=n) if bootstrap else np.arange(n) for rng in group]
-        if n_feature_subset < d:
-            roots = _grow_trees(X, y, [r[None, :] for r in rows], max_depth, min_samples_leaf,
-                                (n_feature_subset, group))
-        else:
-            roots = [root for r in rows
-                     for root in _grow_trees(X, y, [_presorted(X, r)], max_depth, min_samples_leaf)]
+        roots = [rng.integers(0, n, size=n) if bootstrap else np.arange(n) for rng in group]
+        # A subset of d or more features draws nothing: it searches them all.
+        draws = (n_feature_subset, group) if n_feature_subset < d else None
         trees += [TreeModel(root=root, max_depth=max_depth, min_samples_leaf=min_samples_leaf)
-                  for root in roots]
+                  for root in _grow_trees(cells, y, roots, max_depth, min_samples_leaf, draws)]
     return ForestModel(trees=trees, n_feature_subset=n_feature_subset)
 
 
@@ -590,10 +571,10 @@ def fit_boosted(
     pred = np.full(len(y), initial)
     stages = []
     curve = []
-    lanes = _presorted(X, np.arange(len(y)))
+    cells, rows = _cells(X), np.arange(len(y))
     fitted = np.empty(len(y))
     for _ in range(n_stages):
-        [root] = _grow_trees(X, y - pred, [lanes], max_depth, min_samples_leaf, fitted=fitted)
+        [root] = _grow_trees(cells, y - pred, [rows], max_depth, min_samples_leaf, fitted=fitted)
         pred = pred + learning_rate * fitted
         stages.append(TreeModel(root=root, max_depth=max_depth, min_samples_leaf=min_samples_leaf))
         curve.append(float(np.mean((y - pred) ** 2)))

@@ -25,7 +25,7 @@ from .deep.networks import (
     train_tabnet_lite,
 )
 from .errors import InvalidArgumentError, QoeForgeError
-from .params import check_params, field_types, keyword_types
+from .params import check_params, convert, field_types, keyword_types
 from .preprocessing import FittedPreprocessor
 
 SCHEMA_VERSION = 1
@@ -134,7 +134,7 @@ def model_from_doc(doc) -> tuple:
         else:
             cfg = spec.config(**model_params(kind, doc["config"]))
             rng = np.random.default_rng(0)  # init is overwritten below
-            model = spec.model(int(doc["n_features"]), cfg, rng)
+            model = spec.model(convert("n_features", "int", doc["n_features"]), cfg, rng)
             model.load_state(doc["state"])
         pre = None
         if "preprocessor" in doc:

@@ -35,8 +35,11 @@ def _float(value) -> float:
 
 
 def finite_float(name: str, value) -> float:
-    """``value`` as a float, which must be finite: a document's ``1e400``
-    decodes as an infinity. The error names ``name``."""
+    """``value`` as a float, which must be a finite number, not a string or a
+    bool: a document's ``1e400`` decodes as an infinity. The error names
+    ``name``."""
+    if isinstance(value, (bool, str)):
+        raise InvalidArgumentError(f"{name} must be a number, got {value!r}")
     out = float(value)
     if not math.isfinite(out):
         raise InvalidArgumentError(f"{name} must be finite, got {out!r}")

@@ -11,6 +11,7 @@ import numpy as np
 
 from .data_model import Dataset
 from .errors import InvalidArgumentError, SchemaMismatchError
+from .params import convert, finite_float
 
 SPLIT_MODES = ("grouped_by_session", "iid")
 
@@ -121,9 +122,10 @@ class FittedPreprocessor:
         scaler = doc["scaler"]
         return cls(
             feature_columns=list(doc["feature_columns"]),
-            encoders={c: {k: int(v) for k, v in m.items()} for c, m in doc["encoders"].items()},
-            mean={k: float(v) for k, v in scaler["mean"].items()},
-            std={k: float(v) for k, v in scaler["std"].items()},
+            encoders={c: {k: convert(f"column {c!r} label code", "int", v) for k, v in m.items()}
+                      for c, m in doc["encoders"].items()},
+            mean={k: finite_float(f"column {k!r} mean", v) for k, v in scaler["mean"].items()},
+            std={k: finite_float(f"column {k!r} std", v) for k, v in scaler["std"].items()},
             target_column=doc["target_column"],
         )
 

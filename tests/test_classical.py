@@ -333,9 +333,32 @@ class TestBatchedGrowthMatchesPerNodeGrowth:
 
     @pytest.mark.parametrize("bootstrap", [True, False])
     def test_more_trees_than_the_lockstep_group(self, bootstrap):
+        # A subset of every feature grows each group's roots a level at a
+        # time, in one call.
         X, y = growth_problem("ties", 40, 5, seed=43)
-        params = dict(n_trees=classical._GROUP_TREES + 5, seed=9, bootstrap=bootstrap)
-        assert doc_bytes(fit_forest(X, y, **params)) == doc_bytes(loop_fit_forest(X, y, **params))
+        for subset in (None, 5):
+            params = dict(n_trees=classical._GROUP_TREES + 5, n_feature_subset=subset, seed=9,
+                          bootstrap=bootstrap)
+            assert doc_bytes(fit_forest(X, y, **params)) == doc_bytes(
+                loop_fit_forest(X, y, **params)
+            ), params
+
+
+@pytest.mark.parametrize("fit", [
+    lambda X, y: fit_tree(X, y),
+    lambda X, y: fit_boosted(X, y, n_stages=5),
+    lambda X, y: fit_forest(X, y, n_trees=classical._GROUP_TREES + 5),
+    lambda X, y: fit_forest(X, y, n_trees=classical._GROUP_TREES + 5, n_feature_subset=5),
+], ids=["tree", "boosting", "forest", "forest_every_feature"])
+def test_a_fit_builds_its_cell_tables_once(monkeypatch, fit):
+    # Boosting built its padded value table every stage, and a forest every
+    # group of trees.
+    X, y = growth_problem("ties", 40, 5, seed=44)
+    calls = []
+    cells = classical._cells
+    monkeypatch.setattr(classical, "_cells", lambda X: calls.append(X.shape) or cells(X))
+    fit(X, y)
+    assert calls == [X.shape]
 
 
 class TestForest:

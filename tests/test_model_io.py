@@ -186,11 +186,58 @@ def test_model_and_preprocessor_widths_must_agree(kind):
 
 
 def test_tree_split_on_a_negative_feature_is_rejected():
+    # Without a preprocessor to check the width against, -1 read the last
+    # column; the split itself is rejected now, with or without one.
     root = {"feature": -1, "threshold": 0.0, "left": {"value": 0.0}, "right": {"value": 1.0}}
     doc = {"schema_version": SCHEMA_VERSION, "kind": "decision_tree",
-           "state": {"root": root, "max_depth": None, "min_samples_leaf": 1},
-           "preprocessor": plan_doc(2)}
-    with pytest.raises(InvalidArgumentError, match="does not read 2 feature"):
+           "state": {"root": root, "max_depth": None, "min_samples_leaf": 1}}
+    for extra in ({}, {"preprocessor": plan_doc(2)}):
+        with pytest.raises(InvalidArgumentError, match="feature must be >= 0, got -1"):
+            model_from_doc({**doc, **extra})
+
+
+def coded_plan_doc() -> dict:
+    """A preprocessor document of four features, the first label-coded."""
+    doc = plan_doc(4)
+    doc["encoders"] = {"x0": {"a": 0, "b": 1}}
+    for part in ("mean", "std"):
+        del doc["scaler"][part]["x0"]
+    return doc
+
+
+# Each of these loaded before: ``int()`` and ``float()`` took a float, a
+# bool or a numeric string, and a split on feature ``true`` read column 1.
+# Every value is in range, so no later check caught it.
+@pytest.mark.parametrize("kind, path, value, message", [
+    ("decision_tree", ("state", "root", "feature"), 2.5, r"feature: expected int, got 2\.5"),
+    ("decision_tree", ("state", "root", "feature"), True, r"feature: expected int, got True"),
+    ("decision_tree", ("state", "root", "feature"), "2", r"feature: expected int, got '2'"),
+    ("decision_tree", ("state", "root", "threshold"), "0.5",
+     r"threshold must be a number, got '0\.5'"),
+    ("decision_tree", ("state", "root", "threshold"), True,
+     r"threshold must be a number, got True"),
+    ("decision_tree", ("preprocessor", "encoders", "x0", "b"), 1.5,
+     r"column 'x0' label code: expected int, got 1\.5"),
+    ("decision_tree", ("preprocessor", "encoders", "x0", "b"), True,
+     r"column 'x0' label code: expected int, got True"),
+    ("decision_tree", ("preprocessor", "scaler", "mean", "x1"), "0.5",
+     r"column 'x1' mean must be a number, got '0\.5'"),
+    ("decision_tree", ("preprocessor", "scaler", "std", "x2"), True,
+     r"column 'x2' std must be a number, got True"),
+    ("mlp", ("n_features",), 4.5, r"n_features: expected int, got 4\.5"),
+], ids=["feature-float", "feature-true", "feature-string", "threshold-string", "threshold-true",
+        "code-float", "code-true", "mean-string", "std-true", "n_features-float"])
+def test_document_numbers_are_read_strictly(kind, path, value, message):
+    X, y = small_problem()
+    params = {**FAST_PARAMS, "decision_tree": {"max_depth": 1}}.get(kind)
+    doc = model_to_doc(kind, train_model(kind, X, y, params, seed=0))
+    doc["preprocessor"] = coded_plan_doc()
+    model_from_doc(doc)
+    target = doc
+    for part in path[:-1]:
+        target = target[part]
+    target[path[-1]] = value
+    with pytest.raises(InvalidArgumentError, match=message):
         model_from_doc(doc)
 
 
@@ -380,8 +427,7 @@ def test_network_state_of_the_wrong_shape_is_a_domain_error(entry, value):
     ("decision_tree", ("root", "threshold"), "1e400", r"threshold must be finite, got inf"),
     ("decision_tree", ("root", "left", "value"), "1e400", r"leaf value must be finite, got inf"),
     # An infinite int field was an OverflowError traceback.
-    ("decision_tree", ("root", "feature"), "1e400",
-     r"malformed decision_tree model document: cannot convert float infinity"),
+    ("decision_tree", ("root", "feature"), "1e400", r"feature: expected int, got inf"),
     ("gradient_boosting", ("initial",), "1e400", r"initial must be finite, got inf"),
     ("gradient_boosting", ("learning_rate",), "1e400", r"learning_rate must be finite, got inf"),
     ("knn", ("X_train", 0, 0), "1e400", r"X_train holds a value that is not finite"),
