@@ -648,8 +648,8 @@ class KnnModel:
     @classmethod
     def from_doc(cls, doc: dict) -> "KnnModel":
         return cls(
-            X_train=np.asarray(doc["X_train"], dtype=np.float64),
-            y_train=np.asarray(doc["y_train"], dtype=np.float64),
+            X_train=finite_array("X_train", doc["X_train"]),
+            y_train=finite_array("y_train", doc["y_train"]),
             k=doc["k"],
         )
 

@@ -14,6 +14,7 @@ import hashlib
 import io
 import itertools
 import sys
+import warnings
 from dataclasses import InitVar, dataclass
 from types import MappingProxyType
 from typing import Mapping
@@ -323,28 +324,104 @@ def _parse_block(records: list[list[str]], schema: tuple[Column, ...], first_row
     raise AssertionError("a block that fails column by column has no failing cell")
 
 
-def _read_columns(reader) -> tuple[tuple[Column, ...], dict]:
-    """The schema the header row names and its columns, parsed block by block."""
+# Characters whose block of lines goes to the csv module; see _bulk_columns.
+_C_PARSER_DECLINES = '"\r\0\x1c\x1d\x1e\x1f'
+
+
+def _bulk_columns(lines: list[str], schema: tuple[Column, ...], records: np.dtype):
+    """Columns of one block of data lines, parsed by numpy's C parser, or None
+    for a block that parser cannot be trusted with.
+
+    A block it can be trusted with is ASCII text with no quote, carriage
+    return or NUL, and no line longer than the csv module's field size limit:
+    the csv module would read each of its lines as one record of the cells
+    between commas. Nor may it hold the separators ``\x1c``-``\x1f``, which
+    numpy strips from a number as whitespace and Python does not. Then
+    ``np.loadtxt`` reads a float cell as ``float`` does (with
+    ``PyOS_string_to_double``) and an int cell only in syntax that ``int``
+    accepts, within int64; it refuses any other cell. Where it skips a blank
+    line, the csv module gives a record of no cells. So when ``loadtxt``
+    returns one row per line with finite floats, the columns are those of
+    ``_parse_block``; otherwise the block has a fault or a cell only the exact
+    path reads.
+    """
+    text = "".join(lines)
+    if (not text.isascii() or any(c in text for c in _C_PARSER_DECLINES)
+            or max(map(len, lines)) > csv.field_size_limit()):
+        return None
     try:
-        header = next(reader)
-    except StopIteration:
-        raise SchemaMismatchError("file has no header row") from None
-    base_names = [c.name for c in BASE_SCHEMA]
-    aug_names = [c.name for c in AUGMENTED_SCHEMA]
-    if header == base_names:
-        schema = BASE_SCHEMA
-    elif header == aug_names:
-        schema = AUGMENTED_SCHEMA
-    else:
-        raise SchemaMismatchError(
-            f"header {header!r} matches neither the base nor the augmented schema"
-        )
-    parts = {c.name: [np.empty(0, dtype=c.dtype)] for c in schema}
-    first_row = 1
-    while block := list(itertools.islice(reader, _BLOCK_ROWS)):
-        for name, arr in _parse_block(block, schema, first_row).items():
-            parts[name].append(arr)
-        first_row += len(block)
+        # Older numpy reads an int cell such as "1.5" through float, with a
+        # DeprecationWarning; raised as an error, it declines the block.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(lines, dtype=records, delimiter=",", comments=None,
+                               quotechar=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    if len(table) != len(lines):
+        return None
+    columns = {}
+    for col in schema:
+        cells = table[col.name]
+        if col.dtype is np.float64 and not np.isfinite(cells).all():
+            return None
+        # Copies, so the table and the parser's own label objects are freed
+        # with the block.
+        columns[col.name] = np.array(
+            list(map(sys.intern, cells)) if col.dtype is object else cells, dtype=col.dtype)
+    return columns
+
+
+def _header_schema(header: list[str] | None) -> tuple[Column, ...]:
+    """The schema whose column names the header row lists."""
+    if header is None:
+        raise SchemaMismatchError("file has no header row")
+    for schema in (BASE_SCHEMA, AUGMENTED_SCHEMA):
+        if header == [c.name for c in schema]:
+            return schema
+    raise SchemaMismatchError(
+        f"header {header!r} matches neither the base nor the augmented schema"
+    )
+
+
+def _read_columns(fh, path) -> tuple[tuple[Column, ...], dict]:
+    """The schema the header row names and its columns, parsed block by block.
+
+    Each block of ``_BLOCK_ROWS`` lines goes to ``_bulk_columns``. From the
+    first block it declines, the csv module reads the rest of the file (a
+    quoted cell may span lines) into records for ``_parse_block``. Text that
+    is not UTF-8 or that the csv module rejects is an
+    ``InvalidArgumentError`` naming ``path``, and for the csv module the file
+    line.
+    """
+    reader = csv.reader(fh)
+    lines_before = 0  # file lines before the first that ``reader`` reads
+    try:
+        schema = _header_schema(next(reader, None))
+        records = np.dtype([(c.name, c.dtype) for c in schema])
+        parts = {c.name: [np.empty(0, dtype=c.dtype)] for c in schema}
+        first_row = 1
+        while lines := list(itertools.islice(fh, _BLOCK_ROWS)):
+            columns = _bulk_columns(lines, schema, records)
+            if columns is None:
+                # Every line so far was one record.
+                lines_before = reader.line_num + first_row - 1
+                reader = csv.reader(itertools.chain(lines, fh))
+                break
+            for name, arr in columns.items():
+                parts[name].append(arr)
+            first_row += len(lines)
+        # After a block went to the csv module, the rest of the file; at the
+        # end of the file, nothing.
+        while block := list(itertools.islice(reader, _BLOCK_ROWS)):
+            for name, arr in _parse_block(block, schema, first_row).items():
+                parts[name].append(arr)
+            first_row += len(block)
+    except UnicodeDecodeError as exc:
+        raise InvalidArgumentError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise InvalidArgumentError(
+            f"{path}, line {lines_before + reader.line_num}: {exc}") from None
     return schema, {name: np.concatenate(p) for name, p in parts.items()}
 
 
@@ -356,13 +433,7 @@ def read_csv(path) -> Dataset:
     is an ``InvalidArgumentError`` naming ``path``.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            schema, columns = _read_columns(reader)
-        except UnicodeDecodeError as exc:
-            raise InvalidArgumentError(f"{path}: not UTF-8 text ({exc.reason})") from None
-        except csv.Error as exc:
-            raise InvalidArgumentError(f"{path}, line {reader.line_num}: {exc}") from None
+        schema, columns = _read_columns(fh, path)
     ds = Dataset(schema=schema, columns=columns, copy=False)
     ds.validate_rows()
     return ds

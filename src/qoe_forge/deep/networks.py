@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ..errors import DivergenceError, InvalidArgumentError
-from ..params import finite_array
+from ..params import finite_array, number
 from .autodiff import (
     Tensor,
     add,
@@ -166,8 +166,7 @@ class Network:
         target scaler checks itself."""
         for name, p in self.param_entries():
             entry = state["params"][name]
-            data = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-            p.data = _state_array(name, data, p.data)
+            p.data = _state_array(name, entry["data"], p.data, entry["shape"])
         for name, bn in self.norm_layers():
             norm = state["norm"][name]
             bn.running_mean = _state_array(f"{name}.running_mean", norm["running_mean"],
@@ -178,18 +177,22 @@ class Network:
                 raise InvalidArgumentError(f"state entry {name}.running_var holds a value below 0")
             bn.running_var = running_var
         scaler = state["target_scaler"]
-        self.target_scaler = TargetScaler(float(scaler["mean"]), float(scaler["std"]))
+        self.target_scaler = TargetScaler(
+            number("target_scaler.mean", scaler["mean"]),
+            number("target_scaler.std", scaler["std"]))
 
 
-def _state_array(name: str, values, like: np.ndarray) -> np.ndarray:
-    """``values`` as a float64 array of finite values, which must have the
-    shape of ``like``."""
-    out = np.asarray(values, dtype=np.float64)
+def _state_array(name: str, values, like: np.ndarray, shape=None) -> np.ndarray:
+    """``values`` as a float64 array of finite numbers, reshaped to ``shape``
+    when one is given, which must have the shape of ``like``."""
+    out = finite_array(f"state entry {name}", values)
+    if shape is not None:
+        out = out.reshape(shape)
     if out.shape != like.shape:
         raise InvalidArgumentError(
             f"state entry {name} has shape {out.shape}, expected {like.shape}"
         )
-    return finite_array(f"state entry {name}", out)
+    return out
 
 
 class MlpNet(Network):

@@ -8,7 +8,9 @@ then lowest threshold.
 
 import csv
 import io
+import itertools
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -276,6 +278,47 @@ def first_csv_fault(header, records):
             if not ok:
                 return ("CsvParseError", row, column, cell)
     return None
+
+
+def row_loop_csv_read(text: str, block_rows: int):
+    """What a ``csv.reader`` over ``text`` makes of a CSV file, with the
+    records checked one at a time, ``block_rows`` records after another.
+
+    The outcome is comparable as a whole:
+
+    - ``("csv.Error", line)`` when the csv module rejects the text while it
+      reads a block, with the reader's line count at that point: the error
+      comes before any fault of an earlier record of the same block;
+    - otherwise the ``first_csv_fault`` tuple of the first block that has one,
+      its row counted from the first record of the file;
+    - otherwise ``("ok", columns)``: each column's cells through ``int``
+      (int columns), ``float`` as its 64-bit pattern (other numeric columns),
+      or as they are (categoricals).
+
+    The header row must be one of the schemas'.
+    """
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header, records = next(reader), []
+    try:
+        while block := list(itertools.islice(reader, block_rows)):
+            fault = first_csv_fault(header, block)
+            if fault is not None:
+                kind, row, column, value = fault
+                return (kind, len(records) + row, column, value)
+            records += block
+    except csv.Error:
+        return ("csv.Error", reader.line_num)
+    columns = {}
+    for i, name in enumerate(header):
+        cells = [record[i] for record in records]
+        if name in CSV_INT_COLUMNS:
+            columns[name] = [int(cell) for cell in cells]
+        elif name in CSV_CATEGORICAL_COLUMNS:
+            columns[name] = cells
+        else:
+            columns[name] = [struct.unpack("<q", struct.pack("<d", float(cell)))[0]
+                             for cell in cells]
+    return ("ok", columns)
 
 
 def row_loop_csv_text(dataset) -> str:

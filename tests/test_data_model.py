@@ -1,12 +1,18 @@
 """Dataset generation, schema validation, and CSV round-trips."""
 
 import hashlib
+import re
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qoe_forge import data_model
 from qoe_forge.cli import main
 from qoe_forge.data_model import (
+    _BLOCK_ROWS,
     AUGMENTED_SCHEMA,
     BASE_SCHEMA,
     Dataset,
@@ -28,6 +34,7 @@ from oracles import (
     CSV_CATEGORICAL_COLUMNS,
     CSV_INT_COLUMNS,
     first_csv_fault,
+    row_loop_csv_read,
     row_loop_csv_text,
 )
 
@@ -320,6 +327,141 @@ class TestCsv:
         write_csv(bad, path)
         with pytest.raises(RowValidationError):
             read_csv(path)
+
+
+# Cells that numpy's C parser and Python's int/float may read differently, or
+# that only one of them accepts, and cells the csv module splits or rejects.
+EDGE_CELLS = [
+    "", " ", "1_0", "1_0.5", " 2_0 ", "١٢", "٣.٥", "\u20037", "7\u00a0",
+    " 7 ", "\t1.5\x0b", "\x1c2\x1f", "\x0c3", '"', '"a,b"', '"x""y"', "a\rb", "\r", "\0",
+    "1\0", "1e400", "-1e400", "nan", "-inf", "-0.0", "-0", "+5", "0x10", "1e3", "1.5",
+    "5e-324", "2.225073858507201e-308", "2.2250738585072014e-308",
+    "0." + "1" * 800, "1" * 800 + ".5", "9" * 400,
+    str(2**63 - 1), str(-(2**63)), str(2**63), str(-(2**63) - 1),
+    "a" * 131_073,  # one character over the csv module's field size limit
+]
+
+cell_texts = st.one_of(
+    st.sampled_from(EDGE_CELLS),
+    st.floats().map(repr),
+    st.integers(-(2**64), 2**64).map(str),
+    st.text(st.sampled_from('0123456789.eE+-_ ,"\r\n\t\x0b\x1c\0١\u2003ab'), max_size=8),
+)
+
+
+@st.composite
+def edited_csv_text(draw, lines):
+    """CSV text of ``lines`` (a header and records without quotes) with a few
+    cells replaced and blank or whitespace-only lines inserted."""
+    header, *rows = (line.split(",") for line in lines)
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(rows) - 1))
+        kind = draw(st.sampled_from(["cell", "cell", "cell", "blank line", "space line"]))
+        if kind == "cell" and rows[i]:
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(cell_texts)
+        elif kind != "cell":
+            rows.insert(i, [] if kind == "blank line" else [draw(st.sampled_from(" \t\x0b"))])
+    return "".join(",".join(row) + "\n" for row in [header, *rows])
+
+
+def read_outcome(path):
+    """``read_csv``'s outcome for ``path`` in the form of ``row_loop_csv_read``."""
+    try:
+        ds = read_csv(path)
+    except InvalidArgumentError as exc:
+        line = re.match(rf"{re.escape(str(path))}, line (\d+): ", str(exc)).group(1)
+        return ("csv.Error", int(line))
+    except SchemaMismatchError as exc:
+        row, cells = re.fullmatch(r"row (\d+): expected \d+ cells, got (\d+)", str(exc)).groups()
+        return ("SchemaMismatchError", int(row), None, int(cells))
+    except CsvParseError as exc:
+        return ("CsvParseError", exc.row, exc.column, exc.value)
+    return ("ok", {
+        c.name: ds.column(c.name).view(np.int64).tolist() if c.dtype is np.float64
+        else ds.column(c.name).tolist()
+        for c in ds.schema
+    })
+
+
+class TestCsvReadPaths:
+    """Blocks of plain lines go through numpy's C parser and the rest through
+    the csv module; either way ``read_csv`` reads what a row-at-a-time
+    ``csv.reader`` with ``int``/``float`` cells reads."""
+
+    @pytest.fixture(scope="class")
+    def aug_lines(self, tmp_path_factory, aug2700):
+        path = tmp_path_factory.mktemp("aug") / "aug.csv"
+        write_csv(aug2700.subset(range(7)), path)
+        return path.read_text().splitlines()
+
+    def check_against_oracle(self, path, text):
+        path.write_text(text, encoding="utf-8", newline="")
+        # Blocks of two lines, so a file mixes blocks for the C parser with
+        # blocks for the csv module; the row invariants are checked
+        # elsewhere, and here they would hide the values.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data_model, "_BLOCK_ROWS", 2)
+            mp.setattr(Dataset, "validate_rows", lambda self: None)
+            assert read_outcome(path) == row_loop_csv_read(text, block_rows=2)
+
+    @pytest.mark.parametrize("column", ["session_id", "vmaf_mean", "device", "base_session_id"])
+    def test_every_edge_cell_matches_the_oracle(self, tmp_path, aug_lines, column):
+        header = aug_lines[0].split(",")
+        for row in (1, 6):
+            for cell in EDGE_CELLS:
+                rows = [line.split(",") for line in aug_lines]
+                rows[row][header.index(column)] = cell
+                text = "".join(",".join(r) + "\n" for r in rows)
+                self.check_against_oracle(tmp_path / "edge.csv", text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_csv_reader_oracle(self, tmp_path_factory, aug_lines, data):
+        text = data.draw(edited_csv_text(aug_lines))
+        self.check_against_oracle(tmp_path_factory.getbasetemp() / "oracle.csv", text)
+
+    def test_quoted_label_across_a_block_boundary_reads_intact(self, tmp_path):
+        base = generate_base_dataset(2 * _BLOCK_ROWS + 500, seed=0)
+        labels = base.column("content_type").tolist()
+        # The first block of lines is plain. This row is the last line of the
+        # second; its label goes on in the first line of the third.
+        labels[2 * _BLOCK_ROWS - 1] = "two\nlines, one label"
+        labels[2 * _BLOCK_ROWS + 100] = 'a "quoted"\r\nlabel'
+        ds = Dataset(BASE_SCHEMA, {**base.columns, "content_type": labels})
+        path = tmp_path / "multi.csv"
+        write_csv(ds, path)
+        loaded = read_csv(path)
+        assert loaded.column("content_type").tolist() == labels
+        assert columns_equal(loaded, ds)
+        assert dataset_hash(loaded) == dataset_hash(ds)
+
+    # The long cell is on data row 2500, in the third block of lines. A
+    # two-line label before it (in the first block, or in the second after a
+    # plain first) moves it one file line down.
+    @pytest.mark.parametrize("two_line_row, line", [(None, 2501), (100, 2502), (1500, 2502)])
+    def test_csv_error_in_a_late_block_names_its_file_line(self, tmp_path, two_line_row, line):
+        base = generate_base_dataset(3000, seed=0)
+        labels = base.column("device").tolist()
+        labels[2499] = "MARKER"
+        if two_line_row is not None:
+            labels[two_line_row - 1] = "two\nlines"
+        path = tmp_path / "long.csv"
+        write_csv(Dataset(BASE_SCHEMA, {**base.columns, "device": labels}), path)
+        text = path.read_text().replace("MARKER", "a" * 131_073)
+        path.write_text(text)
+        assert row_loop_csv_read(text, _BLOCK_ROWS) == ("csv.Error", line)
+        with pytest.raises(InvalidArgumentError) as exc:
+            read_csv(path)
+        assert str(exc.value).startswith(
+            f"{path}, line {line}: field larger than field limit (131072)")
+
+    def test_labels_are_interned(self, tmp_path, aug2700):
+        path = tmp_path / "aug.csv"
+        write_csv(aug2700, path)
+        loaded = read_csv(path)
+        for name in CSV_CATEGORICAL_COLUMNS:
+            labels = loaded.column(name).tolist()
+            assert all(label is sys.intern(label) for label in labels), name
 
 
 class TestSchema:

@@ -225,8 +225,25 @@ def coded_plan_doc() -> dict:
     ("decision_tree", ("preprocessor", "scaler", "std", "x2"), True,
      r"column 'x2' std must be a number, got True"),
     ("mlp", ("n_features",), 4.5, r"n_features: expected int, got 4\.5"),
+    # Arrays went through ``np.asarray(..., dtype=np.float64)`` and the
+    # target scaler through ``float()``.
+    ("linear_regression", ("state", "coef", 0), "1.5", r"coef\[0\] must be a number, got '1\.5'"),
+    ("linear_regression", ("state", "coef", 2), True, r"coef\[2\] must be a number, got True"),
+    ("knn", ("state", "X_train", 5, 1), "7", r"X_train\[5, 1\] must be a number, got '7'"),
+    ("knn", ("state", "X_train", 0, 3), False, r"X_train\[0, 3\] must be a number, got False"),
+    ("knn", ("state", "y_train", 9), True, r"y_train\[9\] must be a number, got True"),
+    ("mlp", ("state", "target_scaler", "mean"), "50.0",
+     r"target_scaler\.mean must be a number, got '50\.0'"),
+    ("mlp", ("state", "target_scaler", "std"), True,
+     r"target_scaler\.std must be a number, got True"),
+    ("mlp", ("state", "params", "hidden0.W", "data", 3), "0.5",
+     r"state entry hidden0\.W\[3\] must be a number, got '0\.5'"),
+    ("tabnet", ("state", "norm", "attentive0", "running_mean", 0), True,
+     r"state entry attentive0\.running_mean\[0\] must be a number, got True"),
 ], ids=["feature-float", "feature-true", "feature-string", "threshold-string", "threshold-true",
-        "code-float", "code-true", "mean-string", "std-true", "n_features-float"])
+        "code-float", "code-true", "mean-string", "std-true", "n_features-float",
+        "coef-string", "coef-true", "knn-x-string", "knn-x-false", "knn-y-true",
+        "scaler-mean-string", "scaler-std-true", "weight-string", "running-mean-true"])
 def test_document_numbers_are_read_strictly(kind, path, value, message):
     X, y = small_problem()
     params = {**FAST_PARAMS, "decision_tree": {"max_depth": 1}}.get(kind)
