@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericalError
-from .params import convert, finite_array, finite_float
+from .params import convert, decode_array, encode_array, finite_float
 
 
 # The range rule of each scalar fit param, by name: (test, what a value must
@@ -97,11 +97,15 @@ class LinearModel:
         return self.coef.shape == (width,)
 
     def to_doc(self) -> dict:
-        return {"coef": self.coef.tolist(), "intercept": self.intercept}
+        return {"coef": encode_array(self.coef), "intercept": self.intercept}
 
     @classmethod
-    def from_doc(cls, doc: dict) -> "LinearModel":
-        return cls(finite_array("coef", doc["coef"]), finite_float("intercept", doc["intercept"]))
+    def from_doc(cls, doc: dict, read_array=decode_array) -> "LinearModel":
+        """``read_array(name, entry)`` reads ``coef``, which must be 1-D."""
+        coef = read_array("coef", doc["coef"])
+        if coef.ndim != 1:
+            raise InvalidArgumentError(f"coef must be 1-D, got shape {coef.shape}")
+        return cls(coef, finite_float("intercept", doc["intercept"]))
 
 
 def fit_linear(X, y, ridge_jitter: float = 1e-8) -> LinearModel:
@@ -430,7 +434,8 @@ class TreeModel:
         }
 
     @classmethod
-    def from_doc(cls, doc: dict) -> "TreeModel":
+    def from_doc(cls, doc: dict, read_array=None) -> "TreeModel":
+        # The tree kinds hold no arrays: ``read_array`` goes unused.
         max_depth = convert("max_depth", "int | None", doc["max_depth"])
         min_samples_leaf = convert("min_samples_leaf", "int", doc["min_samples_leaf"])
         check_fit_params(max_depth=max_depth, min_samples_leaf=min_samples_leaf)
@@ -472,7 +477,7 @@ class ForestModel:
         }
 
     @classmethod
-    def from_doc(cls, doc: dict) -> "ForestModel":
+    def from_doc(cls, doc: dict, read_array=None) -> "ForestModel":
         n_feature_subset = convert("n_feature_subset", "int", doc["n_feature_subset"])
         check_fit_params(n_feature_subset=n_feature_subset)
         return cls(
@@ -544,7 +549,7 @@ class BoostedModel:
         }
 
     @classmethod
-    def from_doc(cls, doc: dict) -> "BoostedModel":
+    def from_doc(cls, doc: dict, read_array=None) -> "BoostedModel":
         learning_rate = finite_float("learning_rate", doc["learning_rate"])
         check_fit_params(learning_rate=learning_rate)
         return cls(
@@ -640,16 +645,16 @@ class KnnModel:
 
     def to_doc(self) -> dict:
         return {
-            "X_train": self.X_train.tolist(),
-            "y_train": self.y_train.tolist(),
+            "X_train": encode_array(self.X_train),
+            "y_train": encode_array(self.y_train),
             "k": self.k,
         }
 
     @classmethod
-    def from_doc(cls, doc: dict) -> "KnnModel":
+    def from_doc(cls, doc: dict, read_array=decode_array) -> "KnnModel":
         return cls(
-            X_train=finite_array("X_train", doc["X_train"]),
-            y_train=finite_array("y_train", doc["y_train"]),
+            X_train=read_array("X_train", doc["X_train"]),
+            y_train=read_array("y_train", doc["y_train"]),
             k=doc["k"],
         )
 

@@ -325,28 +325,30 @@ def _parse_block(records: list[list[str]], schema: tuple[Column, ...], first_row
 
 
 # Characters whose block of lines goes to the csv module; see _bulk_columns.
-_C_PARSER_DECLINES = '"\r\0\x1c\x1d\x1e\x1f'
+_C_PARSER_DECLINES = '"\0\x1c\x1d\x1e\x1f'
 
 
 def _bulk_columns(lines: list[str], schema: tuple[Column, ...], records: np.dtype):
     """Columns of one block of data lines, parsed by numpy's C parser, or None
     for a block that parser cannot be trusted with.
 
-    A block it can be trusted with is ASCII text with no quote, carriage
-    return or NUL, and no line longer than the csv module's field size limit:
-    the csv module would read each of its lines as one record of the cells
-    between commas. Nor may it hold the separators ``\x1c``-``\x1f``, which
-    numpy strips from a number as whitespace and Python does not. Then
-    ``np.loadtxt`` reads a float cell as ``float`` does (with
-    ``PyOS_string_to_double``) and an int cell only in syntax that ``int``
-    accepts, within int64; it refuses any other cell. Where it skips a blank
-    line, the csv module gives a record of no cells. So when ``loadtxt``
-    returns one row per line with finite floats, the columns are those of
-    ``_parse_block``; otherwise the block has a fault or a cell only the exact
-    path reads.
+    A block it can be trusted with is ASCII text with no quote or NUL, no
+    carriage return but in a line-final ``\r\n``, and no line longer than the
+    csv module's field size limit: the csv module would read each of its
+    lines as one record of the cells between commas, and ``np.loadtxt`` ends
+    a line at its ``\r\n`` as the csv module does. Nor may it hold the
+    separators ``\x1c``-``\x1f``, which numpy strips from a number as
+    whitespace and Python does not. Then ``np.loadtxt`` reads a float cell
+    as ``float`` does (with ``PyOS_string_to_double``) and an int cell only
+    in syntax that ``int`` accepts, within int64; it refuses any other cell.
+    Where it skips a blank line, the csv module gives a record of no cells.
+    So when ``loadtxt`` returns one row per line with finite floats, the
+    columns are those of ``_parse_block``; otherwise the block has a fault or
+    a cell only the exact path reads.
     """
     text = "".join(lines)
     if (not text.isascii() or any(c in text for c in _C_PARSER_DECLINES)
+            or "\r" in text and text.count("\r") != text.count("\r\n")
             or max(map(len, lines)) > csv.field_size_limit()):
         return None
     try:
@@ -392,7 +394,8 @@ def _read_columns(fh, path) -> tuple[tuple[Column, ...], dict]:
     quoted cell may span lines) into records for ``_parse_block``. Text that
     is not UTF-8 or that the csv module rejects is an
     ``InvalidArgumentError`` naming ``path``, and for the csv module the file
-    line.
+    line; a fault of a record before the one the csv module rejects comes
+    first.
     """
     reader = csv.reader(fh)
     lines_before = 0  # file lines before the first that ``reader`` reads
@@ -413,7 +416,18 @@ def _read_columns(fh, path) -> tuple[tuple[Column, ...], dict]:
             first_row += len(lines)
         # After a block went to the csv module, the rest of the file; at the
         # end of the file, nothing.
-        while block := list(itertools.islice(reader, _BLOCK_ROWS)):
+        while True:
+            block = []
+            try:
+                # ``extend`` keeps the records read before one the csv
+                # module rejects.
+                block.extend(itertools.islice(reader, _BLOCK_ROWS))
+            except csv.Error:
+                if block:  # their first fault comes first in row-major order
+                    _parse_block(block, schema, first_row)
+                raise
+            if not block:
+                break
             for name, arr in _parse_block(block, schema, first_row).items():
                 parts[name].append(arr)
             first_row += len(block)

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ..errors import DivergenceError, InvalidArgumentError
-from ..params import finite_array, number
+from ..params import decode_array, encode_array, number
 from .autodiff import (
     Tensor,
     add,
@@ -144,35 +144,32 @@ class Network:
         ]
 
     def state(self) -> dict:
-        """The trained state as plain JSON values: every parameter by saved
-        name, each norm layer's running statistics by block, and the target
-        scaler. Float lists round-trip float64 exactly."""
+        """The trained state as JSON values: every parameter by saved name and
+        each norm layer's running statistics by block, as ``encode_array``
+        entries, and the target scaler."""
         return {
-            "params": {
-                name: {"shape": list(p.data.shape), "data": p.data.reshape(-1).tolist()}
-                for name, p in self.param_entries()
-            },
+            "params": {name: encode_array(p.data) for name, p in self.param_entries()},
             "norm": {
-                name: {"running_mean": bn.running_mean.tolist(),
-                       "running_var": bn.running_var.tolist()}
+                name: {"running_mean": encode_array(bn.running_mean),
+                       "running_var": encode_array(bn.running_var)}
                 for name, bn in self.norm_layers()
             },
             "target_scaler": asdict(self.target_scaler),
         }
 
-    def load_state(self, state: dict) -> None:
-        """Restore what ``state`` returned. Every array keeps its shape and
-        holds only finite values, a running variance none below 0, and the
-        target scaler checks itself."""
+    def load_state(self, state: dict, read_array=decode_array) -> None:
+        """Restore what ``state`` returned; ``read_array(name, entry)`` reads
+        each array entry (a version-1 document passes its list reader). Every
+        array keeps its shape and holds only finite values, a running
+        variance none below 0, and the target scaler checks itself."""
         for name, p in self.param_entries():
-            entry = state["params"][name]
-            p.data = _state_array(name, entry["data"], p.data, entry["shape"])
+            p.data = _state_array(name, state["params"][name], p.data, read_array)
         for name, bn in self.norm_layers():
             norm = state["norm"][name]
             bn.running_mean = _state_array(f"{name}.running_mean", norm["running_mean"],
-                                           bn.running_mean)
+                                           bn.running_mean, read_array)
             running_var = _state_array(f"{name}.running_var", norm["running_var"],
-                                       bn.running_var)
+                                       bn.running_var, read_array)
             if (running_var < 0.0).any():
                 raise InvalidArgumentError(f"state entry {name}.running_var holds a value below 0")
             bn.running_var = running_var
@@ -182,12 +179,9 @@ class Network:
             number("target_scaler.std", scaler["std"]))
 
 
-def _state_array(name: str, values, like: np.ndarray, shape=None) -> np.ndarray:
-    """``values`` as a float64 array of finite numbers, reshaped to ``shape``
-    when one is given, which must have the shape of ``like``."""
-    out = finite_array(f"state entry {name}", values)
-    if shape is not None:
-        out = out.reshape(shape)
+def _state_array(name: str, entry, like: np.ndarray, read_array) -> np.ndarray:
+    """``entry`` read by ``read_array``, which must have the shape of ``like``."""
+    out = read_array(f"state entry {name}", entry)
     if out.shape != like.shape:
         raise InvalidArgumentError(
             f"state entry {name} has shape {out.shape}, expected {like.shape}"

@@ -25,10 +25,24 @@ from .deep.networks import (
     train_tabnet_lite,
 )
 from .errors import InvalidArgumentError, QoeForgeError
-from .params import check_params, convert, field_types, keyword_types
+from .params import check_params, convert, decode_array, field_types, finite_array, keyword_types
 from .preprocessing import FittedPreprocessor
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+
+
+def _read_v1_array(name: str, entry) -> np.ndarray:
+    """A version-1 array: a JSON list of numbers or of such lists, or a
+    network parameter's ``{"shape", "data"}`` with its values in one flat
+    list."""
+    if isinstance(entry, dict):
+        return finite_array(name, entry["data"]).reshape(entry["shape"])
+    return finite_array(name, entry)
+
+
+# Each readable document version's reader of an array entry: version 1 wrote
+# arrays as JSON numbers, version 2 writes ``params.encode_array`` entries.
+ARRAY_READERS = {1: _read_v1_array, 2: decode_array}
 
 
 class ModelKind(NamedTuple):
@@ -122,20 +136,20 @@ def model_from_doc(doc) -> tuple:
     """Returns (kind, model, preprocessor or None)."""
     if not isinstance(doc, dict):
         raise InvalidArgumentError("model document is not a JSON object")
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise InvalidArgumentError(
-            f"unsupported model document version {doc.get('schema_version')!r}"
-        )
+    version = doc.get("schema_version")
+    if type(version) is not int or version not in ARRAY_READERS:
+        raise InvalidArgumentError(f"unsupported model document version {version!r}")
+    read_array = ARRAY_READERS[version]
     kind = doc.get("kind")
     spec = _spec(kind)
     try:
         if spec.config is None:
-            model = spec.model.from_doc(doc["state"])
+            model = spec.model.from_doc(doc["state"], read_array)
         else:
             cfg = spec.config(**model_params(kind, doc["config"]))
             rng = np.random.default_rng(0)  # init is overwritten below
             model = spec.model(convert("n_features", "int", doc["n_features"]), cfg, rng)
-            model.load_state(doc["state"])
+            model.load_state(doc["state"], read_array)
         pre = None
         if "preprocessor" in doc:
             pre = FittedPreprocessor.from_doc(doc["preprocessor"])

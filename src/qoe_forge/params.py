@@ -9,6 +9,7 @@ than an exception deep inside a fit.
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import inspect
 import math
@@ -66,6 +67,42 @@ def finite_array(name: str, values) -> np.ndarray:
                 where = ", ".join(map(str, np.unravel_index(i, cells.shape)))
                 raise InvalidArgumentError(f"{name}[{where}] must be a number, got {value!r}")
     out = np.asarray(cells, dtype=np.float64)
+    if not np.isfinite(out).all():
+        raise InvalidArgumentError(f"{name} holds a value that is not finite")
+    return out
+
+
+def encode_array(values: np.ndarray) -> dict:
+    """A float64 array as a document entry: its shape and the base64 of its
+    little-endian float64 bytes, which hold every value exactly. A value that
+    is not finite raises ValueError, as ``json.dumps`` does for a float."""
+    out = np.asarray(values, dtype="<f8")
+    if not np.isfinite(out).all():
+        raise ValueError("an array holds a value that is not finite")
+    return {"shape": list(out.shape), "base64": base64.b64encode(out.tobytes()).decode("ascii")}
+
+
+def decode_array(name: str, entry) -> np.ndarray:
+    """An ``encode_array`` entry as an owned, writable float64 array. The
+    entry's base64 must be valid, its shape a list of ints >= 0 (not bools),
+    its byte count 8 times the shape's product and every value finite. The
+    error names ``name``."""
+    if not (isinstance(entry, dict) and entry.keys() == {"shape", "base64"}):
+        raise InvalidArgumentError(
+            f"{name} must be an object of 'shape' and 'base64', got {type(entry).__name__}")
+    shape, text = entry["shape"], entry["base64"]
+    if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+        raise InvalidArgumentError(f"{name} shape must be a list of ints >= 0, got {shape!r}")
+    try:
+        if not isinstance(text, str):
+            raise ValueError(f"got {type(text).__name__}")
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error is a ValueError
+        raise InvalidArgumentError(f"{name} base64 is not valid: {exc}") from None
+    if len(raw) != 8 * math.prod(shape):
+        raise InvalidArgumentError(
+            f"{name} holds {len(raw)} bytes, expected 8 per value of shape {tuple(shape)}")
+    out = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
     if not np.isfinite(out).all():
         raise InvalidArgumentError(f"{name} holds a value that is not finite")
     return out

@@ -8,7 +8,7 @@ then lowest threshold.
 
 import csv
 import io
-import itertools
+import json
 import math
 import struct
 from dataclasses import dataclass
@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from qoe_forge.classical import BoostedModel, ForestModel, TreeModel, TreeNode
+from qoe_forge.model_io import model_to_doc
 
 
 def _sse(values: np.ndarray) -> float:
@@ -280,17 +281,16 @@ def first_csv_fault(header, records):
     return None
 
 
-def row_loop_csv_read(text: str, block_rows: int):
+def row_loop_csv_read(text: str):
     """What a ``csv.reader`` over ``text`` makes of a CSV file, with the
-    records checked one at a time, ``block_rows`` records after another.
+    records checked one at a time, in file order.
 
     The outcome is comparable as a whole:
 
-    - ``("csv.Error", line)`` when the csv module rejects the text while it
-      reads a block, with the reader's line count at that point: the error
-      comes before any fault of an earlier record of the same block;
-    - otherwise the ``first_csv_fault`` tuple of the first block that has one,
-      its row counted from the first record of the file;
+    - the ``first_csv_fault`` tuple of the first record that has one, its row
+      counted from the first record of the file;
+    - otherwise ``("csv.Error", line)`` when the csv module rejects the text,
+      with the reader's line count at that point;
     - otherwise ``("ok", columns)``: each column's cells through ``int``
       (int columns), ``float`` as its 64-bit pattern (other numeric columns),
       or as they are (categoricals).
@@ -298,16 +298,17 @@ def row_loop_csv_read(text: str, block_rows: int):
     The header row must be one of the schemas'.
     """
     reader = csv.reader(io.StringIO(text, newline=""))
-    header, records = next(reader), []
+    header, records, error_line = next(reader), [], None
     try:
-        while block := list(itertools.islice(reader, block_rows)):
-            fault = first_csv_fault(header, block)
-            if fault is not None:
-                kind, row, column, value = fault
-                return (kind, len(records) + row, column, value)
-            records += block
+        for record in reader:
+            records.append(record)
     except csv.Error:
-        return ("csv.Error", reader.line_num)
+        error_line = reader.line_num
+    fault = first_csv_fault(header, records)
+    if fault is not None:
+        return fault
+    if error_line is not None:
+        return ("csv.Error", error_line)
     columns = {}
     for i, name in enumerate(header):
         cells = [record[i] for record in records]
@@ -383,3 +384,34 @@ def loop_ghost_batch_norm(x, g, gamma, beta, running_mean, running_var,
         dgamma += (gc * xhat).sum(axis=0)
         dbeta += gc.sum(axis=0)
     return out, running_mean, running_var, dx, dgamma, dbeta
+
+
+def v1_model_doc(kind, model, preprocessor=None) -> dict:
+    """The document schema version 1 wrote: every array as JSON numbers read
+    from the model itself, a linear ``coef`` and knn's ``X_train`` and
+    ``y_train`` as nested lists, each network parameter as its ``shape`` and
+    its values in one flat ``data`` list, and a norm layer's running
+    statistics as lists. Every other field is as version 2 writes it."""
+    doc = model_to_doc(kind, model, preprocessor)
+    doc["schema_version"] = 1
+    state = doc["state"]
+    for name in ("coef", "X_train", "y_train"):
+        if name in state:
+            state[name] = getattr(model, name).tolist()
+    if "params" in state:
+        state["params"] = {
+            name: {"shape": list(p.data.shape), "data": p.data.reshape(-1).tolist()}
+            for name, p in model.param_entries()
+        }
+        state["norm"] = {
+            name: {"running_mean": bn.running_mean.tolist(),
+                   "running_var": bn.running_var.tolist()}
+            for name, bn in model.norm_layers()
+        }
+    return doc
+
+
+def v1_document_bytes(kind, model, preprocessor=None) -> bytes:
+    """``v1_model_doc`` as version 1's ``save_model`` wrote it to a file."""
+    doc = v1_model_doc(kind, model, preprocessor)
+    return (json.dumps(doc, sort_keys=True, allow_nan=False) + "\n").encode("utf-8")

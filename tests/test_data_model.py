@@ -1,6 +1,7 @@
 """Dataset generation, schema validation, and CSV round-trips."""
 
 import hashlib
+import itertools
 import re
 import sys
 
@@ -228,6 +229,19 @@ class TestCsv:
         with pytest.raises(SchemaMismatchError, match="row 3: expected 14 cells, got 0"):
             read_csv(self._write_lines(tmp_path, base, blank_line))
 
+    def test_fault_before_a_record_the_csv_module_rejects_comes_first(self, tmp_path):
+        # The csv module rejected row 3 while it read the block, before the
+        # bad cell of row 1 was looked at: the error named line 4.
+        base = generate_base_dataset(6, seed=0)
+
+        def bad_cell_then_long_cell(lines, set_cell):
+            set_cell(1, "duration_s", "x")
+            set_cell(3, "device", "a" * 131_073)
+
+        with pytest.raises(CsvParseError) as exc:
+            read_csv(self._write_lines(tmp_path, base, bad_cell_then_long_cell))
+        assert (exc.value.row, exc.value.column, exc.value.value) == (1, "duration_s", "x")
+
     def test_errors_in_later_blocks_keep_file_row_numbers(self, tmp_path):
         base = generate_base_dataset(3000, seed=0)
 
@@ -352,7 +366,8 @@ cell_texts = st.one_of(
 @st.composite
 def edited_csv_text(draw, lines):
     """CSV text of ``lines`` (a header and records without quotes) with a few
-    cells replaced and blank or whitespace-only lines inserted."""
+    cells replaced and blank or whitespace-only lines inserted, each line
+    ending in ``\n`` or each in ``\r\n``."""
     header, *rows = (line.split(",") for line in lines)
     for _ in range(draw(st.integers(1, 4))):
         i = draw(st.integers(0, len(rows) - 1))
@@ -361,7 +376,8 @@ def edited_csv_text(draw, lines):
             rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(cell_texts)
         elif kind != "cell":
             rows.insert(i, [] if kind == "blank line" else [draw(st.sampled_from(" \t\x0b"))])
-    return "".join(",".join(row) + "\n" for row in [header, *rows])
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return "".join(",".join(row) + end for row in [header, *rows])
 
 
 def read_outcome(path):
@@ -402,23 +418,36 @@ class TestCsvReadPaths:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(data_model, "_BLOCK_ROWS", 2)
             mp.setattr(Dataset, "validate_rows", lambda self: None)
-            assert read_outcome(path) == row_loop_csv_read(text, block_rows=2)
+            assert read_outcome(path) == row_loop_csv_read(text)
 
     @pytest.mark.parametrize("column", ["session_id", "vmaf_mean", "device", "base_session_id"])
     def test_every_edge_cell_matches_the_oracle(self, tmp_path, aug_lines, column):
         header = aug_lines[0].split(",")
-        for row in (1, 6):
-            for cell in EDGE_CELLS:
-                rows = [line.split(",") for line in aug_lines]
-                rows[row][header.index(column)] = cell
-                text = "".join(",".join(r) + "\n" for r in rows)
-                self.check_against_oracle(tmp_path / "edge.csv", text)
+        for row, cell, end in itertools.product((1, 6), EDGE_CELLS, ("\n", "\r\n")):
+            rows = [line.split(",") for line in aug_lines]
+            rows[row][header.index(column)] = cell
+            text = "".join(",".join(r) + end for r in rows)
+            self.check_against_oracle(tmp_path / "edge.csv", text)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_matches_the_csv_reader_oracle(self, tmp_path_factory, aug_lines, data):
         text = data.draw(edited_csv_text(aug_lines))
         self.check_against_oracle(tmp_path_factory.getbasetemp() / "oracle.csv", text)
+
+    def test_crlf_lines_go_through_the_c_parser(self, aug_lines):
+        schema = data_model.AUGMENTED_SCHEMA
+        records = np.dtype([(c.name, c.dtype) for c in schema])
+        lf = data_model._bulk_columns([line + "\n" for line in aug_lines[1:]], schema, records)
+        crlf = [line + "\r\n" for line in aug_lines[1:]]
+        columns = data_model._bulk_columns(crlf, schema, records)
+        assert columns is not None
+        for c in schema:
+            assert columns[c.name].dtype == lf[c.name].dtype
+            assert columns[c.name].tolist() == lf[c.name].tolist()
+        # A lone "\r", or one before another "\r", still goes to the csv module.
+        for bad in (crlf[2].replace(",", ",\r", 1), crlf[2][:-2] + "\r\r\n"):
+            assert data_model._bulk_columns([*crlf[:2], bad], schema, records) is None
 
     def test_quoted_label_across_a_block_boundary_reads_intact(self, tmp_path):
         base = generate_base_dataset(2 * _BLOCK_ROWS + 500, seed=0)
@@ -449,7 +478,7 @@ class TestCsvReadPaths:
         write_csv(Dataset(BASE_SCHEMA, {**base.columns, "device": labels}), path)
         text = path.read_text().replace("MARKER", "a" * 131_073)
         path.write_text(text)
-        assert row_loop_csv_read(text, _BLOCK_ROWS) == ("csv.Error", line)
+        assert row_loop_csv_read(text) == ("csv.Error", line)
         with pytest.raises(InvalidArgumentError) as exc:
             read_csv(path)
         assert str(exc.value).startswith(

@@ -1,11 +1,13 @@
 """The model registry, param checking, and versioned model documents."""
 
+import base64
 import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import v1_document_bytes, v1_model_doc
 
 from qoe_forge import classical
 from qoe_forge.errors import InvalidArgumentError, QoeForgeError
@@ -21,6 +23,7 @@ from qoe_forge.model_io import (
     save_model,
     train_model,
 )
+from qoe_forge.params import decode_array, encode_array
 from qoe_forge.preprocessing import SplitSpec, fit_transform, split
 
 FAST_PARAMS = {
@@ -104,27 +107,35 @@ def test_doc_round_trip_without_files():
 
 # Documents saved by an earlier release (schema version 1), one small model
 # per kind; the classical ones were fit on 12 features. Each must load and
-# save back to the same bytes.
+# write back to the same bytes through the version-1 writer, and a version-2
+# copy must predict bit for bit as the version-1 document does.
 V1_DOCS = Path(__file__).parent / "data" / "model_docs_v1.json"
 
 
 def test_schema_v1_documents_reload_byte_identical():
     docs = json.loads(V1_DOCS.read_text())
     assert tuple(docs) == tuple(sorted(ALL_KINDS))
+    X = np.random.default_rng(0).normal(size=(50, 12))
     for kind, doc in docs.items():
         loaded_kind, model, pre = model_from_doc(doc)
         assert loaded_kind == kind
         assert isinstance(model, MODELS[kind].model)
-        again = model_to_doc(kind, model, pre)
+        again = v1_model_doc(kind, model, pre)
         assert json.dumps(again, sort_keys=True) == json.dumps(doc, sort_keys=True), kind
-        X = np.zeros((2, doc.get("n_features", 12)))
-        assert np.isfinite(model.predict(X)).all()
+        Xk = X[:, :doc.get("n_features", 12)]
+        assert np.isfinite(model.predict(Xk)).all()
+        v2 = json.loads(json.dumps(model_to_doc(kind, model, pre)))
+        assert v2["schema_version"] == 2
+        _, upgraded, _ = model_from_doc(v2)
+        assert model.predict(Xk).tobytes() == upgraded.predict(Xk).tobytes(), kind
 
 
-# sha256 of the save_model bytes of each network fit on small_problem() with
-# these params. Dropout is on, and tabnet stops early (5 of 40 epochs), so its
-# document holds the weights restored from its best epoch. Training
-# arithmetic and the state format must keep these documents byte for byte.
+# sha256 of the document bytes of each network fit on small_problem() with
+# these params: as version 1 wrote them (``oracles.v1_document_bytes``) and as
+# save_model writes them. Dropout is on, and tabnet stops early (5 of 40
+# epochs), so its document holds the weights restored from its best epoch.
+# Training arithmetic must keep the version-1 documents byte for byte, and the
+# state format the version-2 ones.
 NET_PIN_PARAMS = {
     "mlp": {"hidden": (8,), "batch_size": 32, "epochs": 3},
     "attention_mlp": {"hidden": (8,), "attention_hidden": 8, "batch_size": 32, "epochs": 3},
@@ -136,33 +147,44 @@ NET_DOC_DIGESTS = {
     "attention_mlp": "128ea06f6a8250bd9b4ed72bbfee339a3d4e773a1318b6c2306811e0dbb0bd70",
     "tabnet": "a43c93d32e6c859668e6c2e6033056f1c14c8234543006d90c86e84778e4df86",
 }
+NET_DOC_V2_DIGESTS = {
+    "mlp": "a410078929e5855315b8e74478751aaf0b22abd93c8737b94b691dda220fcb60",
+    "attention_mlp": "160d142d655db8446de024b4c9ba794e822c053c948b04260ba9a446cb67d0ea",
+    "tabnet": "3c6e127ffdd1e7c52bf1e4f691ac8f19105707fca59f1fea9ad5d756bc9a69b4",
+}
 
 
 def test_network_documents_are_pinned(tmp_path):
     X, y = small_problem()
-    digests = {}
+    digests, v2_digests = {}, {}
     for kind, params in NET_PIN_PARAMS.items():
         model = train_model(kind, X, y, params, seed=7)
+        digests[kind] = hashlib.sha256(v1_document_bytes(kind, model)).hexdigest()
         path = tmp_path / f"{kind}.json"
         save_model(path, kind, model)
-        digests[kind] = hashlib.sha256(path.read_bytes()).hexdigest()
+        v2_digests[kind] = hashlib.sha256(path.read_bytes()).hexdigest()
     assert model.epochs_run < NET_PIN_PARAMS["tabnet"]["max_epochs"]
     assert digests == NET_DOC_DIGESTS
+    assert v2_digests == NET_DOC_V2_DIGESTS
 
 
-# sha256 of the save_model bytes of a linear model with its embedded
-# preprocessor, fit on the augmented training split of the paper corpus. The
-# preprocessor document layout must stay byte for byte.
+# sha256 of the document bytes of a linear model with its embedded
+# preprocessor, fit on the augmented training split of the paper corpus, as
+# version 1 wrote them and as save_model writes them. The preprocessor
+# document layout must stay byte for byte.
 PREPROCESSOR_DOC_DIGEST = "9cbf0895846dbae091177b0a43f54af5786ba575a3d3149298c6ddfeae1c1521"
+PREPROCESSOR_DOC_V2_DIGEST = "9d57fb341c2506189498dcd8d5e9f69bb7f2c4c2a3ebf74cf7fb25790f12de1e"
 
 
 def test_preprocessor_document_is_pinned(aug2700, tmp_path):
     train, _ = split(aug2700, SplitSpec())
     X, y, fitted = fit_transform(train)
     model = train_model("linear_regression", X, y, None, seed=0)
+    v1_bytes = v1_document_bytes("linear_regression", model, fitted)
+    assert hashlib.sha256(v1_bytes).hexdigest() == PREPROCESSOR_DOC_DIGEST
     path = tmp_path / "m.json"
     save_model(path, "linear_regression", model, fitted)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == PREPROCESSOR_DOC_DIGEST
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PREPROCESSOR_DOC_V2_DIGEST
 
 
 def plan_doc(width: int) -> dict:
@@ -207,7 +229,8 @@ def coded_plan_doc() -> dict:
 
 # Each of these loaded before: ``int()`` and ``float()`` took a float, a
 # bool or a numeric string, and a split on feature ``true`` read column 1.
-# Every value is in range, so no later check caught it.
+# Every value is in range, so no later check caught it. The cases run on
+# version-1 documents, whose arrays are JSON numbers.
 @pytest.mark.parametrize("kind, path, value, message", [
     ("decision_tree", ("state", "root", "feature"), 2.5, r"feature: expected int, got 2\.5"),
     ("decision_tree", ("state", "root", "feature"), True, r"feature: expected int, got True"),
@@ -247,7 +270,7 @@ def coded_plan_doc() -> dict:
 def test_document_numbers_are_read_strictly(kind, path, value, message):
     X, y = small_problem()
     params = {**FAST_PARAMS, "decision_tree": {"max_depth": 1}}.get(kind)
-    doc = model_to_doc(kind, train_model(kind, X, y, params, seed=0))
+    doc = v1_model_doc(kind, train_model(kind, X, y, params, seed=0))
     doc["preprocessor"] = coded_plan_doc()
     model_from_doc(doc)
     target = doc
@@ -377,7 +400,7 @@ class TestModelParams:
     ('{"schema_version": 1, "kind": "knn", "state": []}\n', "malformed knn"),
     ('{"schema_version": 1, "kind": "mlp", "config": {"hidden": "x"}, '
      '"n_features": 2, "state": {}}\n', "models.mlp.hidden"),
-    ('{"schema_version": 2, "kind": "knn", "state": {}}\n', "version 2"),
+    ('{"schema_version": 3, "kind": "knn", "state": {}}\n', "version 3"),
     # Python's json reads these non-standard literals as floats: a NaN
     # threshold sent every row right, an infinite one every row left.
     *(
@@ -402,13 +425,15 @@ def test_non_utf8_model_file_is_a_domain_error(tmp_path):
         load_model(path)
 
 
+# Version-1 documents; test_encoded_array_faults_name_the_entry holds the
+# version-2 case.
 @pytest.mark.parametrize("entry, value", [
     (("norm", "attentive0", "running_mean"), [0.0, 0.0]),
     (("params", "head.W", "shape"), [1, 8]),
 ])
 def test_network_state_of_the_wrong_shape_is_a_domain_error(entry, value):
     X, y = small_problem()
-    doc = model_to_doc("tabnet", train_model("tabnet", X, y, FAST_PARAMS["tabnet"], seed=0))
+    doc = v1_model_doc("tabnet", train_model("tabnet", X, y, FAST_PARAMS["tabnet"], seed=0))
     *path, key = entry
     target = doc["state"]
     for part in path:
@@ -418,6 +443,7 @@ def test_network_state_of_the_wrong_shape_is_a_domain_error(entry, value):
         model_from_doc(doc)
 
 
+# The cases run on version-1 documents, whose arrays are JSON numbers.
 @pytest.mark.parametrize("kind, path, literal, message", [
     # A negative std scored with plcc -0.906 and a zero one scored a
     # constant; both exited 0.
@@ -456,7 +482,7 @@ def test_network_state_of_the_wrong_shape_is_a_domain_error(entry, value):
 def test_document_values_out_of_range_are_domain_errors(tmp_path, kind, path, literal, message):
     X, y = small_problem()
     params = {**FAST_PARAMS, "decision_tree": {"max_depth": 1}}.get(kind)
-    doc = model_to_doc(kind, train_model(kind, X, y, params, seed=0))
+    doc = v1_model_doc(kind, train_model(kind, X, y, params, seed=0))
     target = doc["state"]
     for part in path[:-1]:
         target = target[part]
@@ -465,6 +491,85 @@ def test_document_values_out_of_range_are_domain_errors(tmp_path, kind, path, li
     model_file.write_text(json.dumps(doc).replace('"LITERAL"', literal))
     with pytest.raises(InvalidArgumentError, match=message):
         load_model(model_file)
+
+
+def _encoded(values, shape=None) -> dict:
+    data = np.asarray(values, dtype="<f8")
+    return {"shape": list(data.shape) if shape is None else shape,
+            "base64": base64.b64encode(data.tobytes()).decode("ascii")}
+
+
+def _bits(*words) -> list[float]:
+    """Float64 values from their 64-bit patterns."""
+    return np.array(words, dtype="<u8").view("<f8").tolist()
+
+
+# Each fault of an encoded array in a version-2 document, with its entry.
+@pytest.mark.parametrize("kind, path, entry, message", [
+    ("mlp", ("params", "head.b"), {"shape": [1], "base64": "AAAA!AAAAAA="},
+     r"state entry head\.b base64 is not valid"),
+    ("mlp", ("params", "head.b"), {"shape": [1], "base64": "AAAAAAAAAA"},
+     r"state entry head\.b base64 is not valid"),
+    ("mlp", ("params", "head.b"), {"shape": [1], "base64": 0},
+     r"state entry head\.b base64 is not valid"),
+    ("knn", ("y_train",), _encoded(np.zeros(64), [63]),
+     r"y_train holds 512 bytes, expected 8 per value of shape \(63,\)"),
+    ("knn", ("X_train",), _encoded(np.zeros((64, 4)), [64, True]),
+     r"X_train shape must be a list of ints >= 0, got \[64, True\]"),
+    ("linear_regression", ("coef",), _encoded(np.zeros(4), [-4]),
+     r"coef shape must be a list of ints >= 0, got \[-4\]"),
+    ("linear_regression", ("coef",), _encoded(np.zeros(4), [4.0]),
+     r"coef shape must be a list of ints >= 0, got \[4\.0\]"),
+    ("linear_regression", ("coef",), [0.0, 0.0, 0.0, 0.0],
+     r"coef must be an object of 'shape' and 'base64', got list"),
+    # A quiet NaN, +inf and -inf by their bit patterns.
+    ("mlp", ("params", "hidden0.W"), _encoded(_bits(0x7FF8000000000000) * 32, [4, 8]),
+     r"state entry hidden0\.W holds a value that is not finite"),
+    ("knn", ("X_train",), _encoded(_bits(0x7FF0000000000000) * 256, [64, 4]),
+     r"X_train holds a value that is not finite"),
+    ("tabnet", ("norm", "attentive0", "running_mean"),
+     _encoded(_bits(0xFFF0000000000000) * 4),
+     r"state entry attentive0\.running_mean holds a value that is not finite"),
+    ("tabnet", ("norm", "attentive0", "running_var"), _encoded([1.0, -1.0, 1.0, 1.0]),
+     r"state entry attentive0\.running_var holds a value below 0"),
+    ("tabnet", ("params", "head.W"), _encoded(np.zeros((1, 8))),
+     r"state entry head\.W has shape \(1, 8\), expected \(8, 1\)"),
+    ("linear_regression", ("coef",), _encoded(np.zeros((2, 2))),
+     r"coef must be 1-D, got shape \(2, 2\)"),
+], ids=["base64-char", "base64-padding", "base64-number", "byte-count", "shape-bool",
+        "shape-negative", "shape-float", "list-in-v2", "nan", "inf", "minus-inf",
+        "running-var-negative", "layer-shape", "coef-2d"])
+def test_encoded_array_faults_name_the_entry(tmp_path, kind, path, entry, message):
+    X, y = small_problem()
+    doc = model_to_doc(kind, train_model(kind, X, y, FAST_PARAMS.get(kind), seed=0))
+    target = doc["state"]
+    for part in path[:-1]:
+        target = target[part]
+    target[path[-1]] = entry
+    model_file = tmp_path / "m.json"
+    model_file.write_text(json.dumps(doc))
+    with pytest.raises(InvalidArgumentError, match=message):
+        load_model(model_file)
+
+
+def test_encoded_arrays_are_exact_owned_and_writable():
+    values = np.array([[0.1, -0.0, 5e-324], [1.7976931348623157e308, -2.5, 1e-300]])
+    for array in (values, values[:, 0], np.empty((0, 3)), np.float64(7.25)):
+        out = decode_array("x", encode_array(array))
+        assert out.shape == np.shape(array) and out.tobytes() == np.asarray(array).tobytes()
+        assert out.dtype == np.float64 and out.flags.owndata and out.flags.writeable
+    with pytest.raises(ValueError, match="not finite"):
+        encode_array(np.array([1.0, np.inf]))
+
+
+def test_network_with_a_non_finite_weight_is_not_saved(tmp_path):
+    X, y = small_problem()
+    model = train_model("mlp", X, y, FAST_PARAMS["mlp"], seed=0)
+    model.head.b.data[0] = np.nan
+    path = tmp_path / "m.json"
+    with pytest.raises(QoeForgeError, match="cannot be saved as a JSON document"):
+        save_model(path, "mlp", model)
+    assert not path.exists()
 
 
 def test_deeply_nested_model_file_is_a_domain_error(tmp_path):
@@ -525,7 +630,7 @@ def test_model_with_a_non_finite_value_is_a_domain_error_and_writes_nothing(tmp_
         "y_short", "y_long", "y_2d", "x_1d"])
 def test_knn_document_fields_are_checked(tmp_path, field, value, message):
     X, y = small_problem()
-    doc = model_to_doc("knn", train_model("knn", X, y, {"k": 3}, seed=0))
+    doc = v1_model_doc("knn", train_model("knn", X, y, {"k": 3}, seed=0))
     doc["state"][field] = value
     path = tmp_path / "m.json"
     path.write_text(json.dumps(doc))
