@@ -12,10 +12,9 @@ the fit's one ``_cells`` table, pads each node to the block's length, and
 takes the same cost ops, in the same order, as a search of each node alone,
 so a tree is the one a node-by-node grower gives, byte for byte. A decision
 tree, each boosting stage, and a forest whose subset is every feature grow
-a level at a time; boosting reads each training row's fit from the growth.
-A forest that draws its subsets grows its trees in lockstep: each step
-splits the next node, in preorder, of every tree, which draws its feature
-subset from its own rng, as a tree grown alone does.
+a level at a time. A forest that draws its subsets grows its trees in
+lockstep: each step splits the next node, in preorder, of every tree, which
+draws its feature subset from its own rng, as a tree grown alone does.
 """
 
 from __future__ import annotations
@@ -248,10 +247,10 @@ def _cells(X):
     return values, (ranks << 32).ravel()
 
 
-def _grow_trees(cells, y, roots, max_depth, min_samples_leaf, draws=None, fitted=None):
+def _grow_trees(cells, y, roots, max_depth, min_samples_leaf, draws=None):
     """Grow a tree from each of ``roots``, arrays of training row ids (repeats
     are bootstrap copies), on the ``_cells`` of checked training data; return
-    their root ``TreeNode``s.
+    them as ``TreeModel``s.
 
     A node holds only its row ids. A split search sorts each candidate
     feature's lane of a node by (value rank, position) keys, which orders it
@@ -269,8 +268,7 @@ def _grow_trees(cells, y, roots, max_depth, min_samples_leaf, draws=None, fitted
     every tree splits, and draws, in preorder.
 
     Either way one step's nodes are searched, and partitioned, together in
-    blocks by size. ``fitted``, given with one root, receives each training
-    row's leaf value.
+    blocks by size.
     """
     values, ranks = cells
     n = len(y)
@@ -300,8 +298,6 @@ def _grow_trees(cells, y, roots, max_depth, min_samples_leaf, draws=None, fitted
                 stack.append((node, rows, depth))
             else:
                 node.value = float(np.add.reduce(yv[s:e])) / (e - s)  # yv[s:e].mean()
-                if fitted is not None:
-                    fitted[cat[s:e]] = node.value
 
     def split_block(block):
         """Search a block of (stack, node, rows, depth, rng), largest first,
@@ -378,7 +374,7 @@ def _grow_trees(cells, y, roots, max_depth, min_samples_leaf, draws=None, fitted
         else:
             step = [(stack, *stack.pop(), rng) for stack, rng in zip(stacks, rngs) if stack]
         if not step:
-            return trees
+            return [TreeModel(root, max_depth, min_samples_leaf) for root in trees]
         step.sort(key=lambda item: -len(item[2]))
         sizes = [len(item[2]) for item in step]
         start = 0
@@ -449,8 +445,8 @@ class TreeModel:
 def fit_tree(X, y, max_depth: int | None = 12, min_samples_leaf: int = 2) -> TreeModel:
     """One tree whose every split searches every feature."""
     X, y = _training_data(X, y, max_depth=max_depth, min_samples_leaf=min_samples_leaf)
-    [root] = _grow_trees(_cells(X), y, [np.arange(len(y))], max_depth, min_samples_leaf)
-    return TreeModel(root=root, max_depth=max_depth, min_samples_leaf=min_samples_leaf)
+    [tree] = _grow_trees(_cells(X), y, [np.arange(len(y))], max_depth, min_samples_leaf)
+    return tree
 
 
 # ---------------------------------------------------------------------------
@@ -514,8 +510,7 @@ def fit_forest(
         roots = [rng.integers(0, n, size=n) if bootstrap else np.arange(n) for rng in group]
         # A subset of d or more features draws nothing: it searches them all.
         draws = (n_feature_subset, group) if n_feature_subset < d else None
-        trees += [TreeModel(root=root, max_depth=max_depth, min_samples_leaf=min_samples_leaf)
-                  for root in _grow_trees(cells, y, roots, max_depth, min_samples_leaf, draws)]
+        trees += _grow_trees(cells, y, roots, max_depth, min_samples_leaf, draws)
     return ForestModel(trees=trees, n_feature_subset=n_feature_subset)
 
 
@@ -577,11 +572,10 @@ def fit_boosted(
     stages = []
     curve = []
     cells, rows = _cells(X), np.arange(len(y))
-    fitted = np.empty(len(y))
     for _ in range(n_stages):
-        [root] = _grow_trees(cells, y - pred, [rows], max_depth, min_samples_leaf, fitted=fitted)
-        pred = pred + learning_rate * fitted
-        stages.append(TreeModel(root=root, max_depth=max_depth, min_samples_leaf=min_samples_leaf))
+        [stage] = _grow_trees(cells, y - pred, [rows], max_depth, min_samples_leaf)
+        pred = pred + learning_rate * stage.predict(X)
+        stages.append(stage)
         curve.append(float(np.mean((y - pred) ** 2)))
     return BoostedModel(
         initial=initial, stages=stages, learning_rate=learning_rate,

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ..errors import DivergenceError, InvalidArgumentError
-from ..params import decode_array, encode_array, number
+from ..params import encode_array, number
 from .autodiff import (
     Tensor,
     add,
@@ -157,11 +157,12 @@ class Network:
             "target_scaler": asdict(self.target_scaler),
         }
 
-    def load_state(self, state: dict, read_array=decode_array) -> None:
+    def load_state(self, state: dict, read_array) -> None:
         """Restore what ``state`` returned; ``read_array(name, entry)`` reads
-        each array entry (a version-1 document passes its list reader). Every
-        array keeps its shape and holds only finite values, a running
-        variance none below 0, and the target scaler checks itself."""
+        each array entry (``params.decode_array``, or a version-1 document's
+        list reader). Every array keeps its shape and holds only finite
+        values, a running variance none below 0, and the target scaler
+        checks itself."""
         for name, p in self.param_entries():
             p.data = _state_array(name, state["params"][name], p.data, read_array)
         for name, bn in self.norm_layers():
@@ -357,16 +358,26 @@ def train_attention_mlp(X, y, cfg: MlpConfig, seed: int) -> AttentionMlpNet:
 
 
 def train_tabnet_lite(X, y, cfg: TabNetConfig, seed: int) -> TabNetLite:
-    """Adam training with early stopping on a held-out validation fraction."""
+    """Adam training with early stopping on a held-out validation fraction.
+
+    The net keeps the arrays of its best epoch. ``Adam.step`` and the norm
+    layers rebind a parameter's ``data`` and a running statistic, and never
+    write into the array, so holding the arrays keeps that epoch's values.
+    """
     net, X, yt, rng = _new_net(TabNetLite, X, y, cfg, seed)
     n = len(yt)
     n_val = max(1, round(n * cfg.validation_fraction)) if n >= 4 else 0
+    if n_val >= n:
+        raise InvalidArgumentError(
+            f"validation_fraction {cfg.validation_fraction} holds out all {n} training rows")
+    params = net.parameters()
+    norms = [bn for _, bn in net.norm_layers()]
     perm = rng.permutation(n)
     val_idx, train_idx = perm[:n_val], perm[n_val:]
     Xval, yval = X[val_idx], yt[val_idx]
 
     best_val = np.inf
-    best_state = None
+    best = None
     stale = 0
     for _ in _epochs(net, X[train_idx], yt[train_idx], cfg.max_epochs, rng):
         if n_val:
@@ -377,14 +388,18 @@ def train_tabnet_lite(X, y, cfg: TabNetConfig, seed: int) -> TabNetLite:
             val_mse = net.loss_curve[-1]
         if val_mse < best_val:
             best_val = val_mse
-            best_state = net.state()
+            best = ([p.data for p in params],
+                    [(bn.running_mean, bn.running_var) for bn in norms])
             stale = 0
         else:
             stale += 1
             if stale >= cfg.patience:
                 break
-    if best_state is not None:
-        net.load_state(best_state)
+    if best is not None:
+        for p, data in zip(params, best[0]):
+            p.data = data
+        for bn, (mean, var) in zip(norms, best[1]):
+            bn.running_mean, bn.running_var = mean, var
     return net
 
 

@@ -57,16 +57,12 @@ def finite_array(name: str, values) -> np.ndarray:
     """``values``, a document's list of numbers (or of such lists), as a
     float64 array whose every entry must be a finite number, not a string or
     a bool, as for ``finite_float``. The error names ``name`` and the entry."""
-    cells = values
-    if not (isinstance(values, list) and {*map(type, values)} <= {int, float}):
-        # Rows of entries, or an entry that is not a number: look at every
-        # entry of the nested lists.
-        cells = np.asarray(values, dtype=object)
-        for i, value in enumerate(cells.ravel().tolist()):
-            if type(value) not in (int, float):
-                where = ", ".join(map(str, np.unravel_index(i, cells.shape)))
-                raise InvalidArgumentError(f"{name}[{where}] must be a number, got {value!r}")
-    out = np.asarray(cells, dtype=np.float64)
+    cells = np.asarray(values, dtype=object)
+    for i, value in enumerate(cells.ravel().tolist()):
+        if type(value) not in (int, float):
+            where = ", ".join(map(str, np.unravel_index(i, cells.shape)))
+            raise InvalidArgumentError(f"{name}[{where}] must be a number, got {value!r}")
+    out = cells.astype(np.float64)
     if not np.isfinite(out).all():
         raise InvalidArgumentError(f"{name} holds a value that is not finite")
     return out

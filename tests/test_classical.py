@@ -445,6 +445,26 @@ class TestBoosting:
         restored = BoostedModel.from_doc(model.to_doc())
         np.testing.assert_array_equal(model.predict(X), restored.predict(X))
 
+    @pytest.mark.parametrize("source", ["paper", "deep"])
+    def test_curve_is_rebuilt_from_each_stage_predict(self, source, request):
+        # A training row that a stage's predict routes meets the tests it met
+        # while the stage grew, on the same float64 values, so it lands in
+        # the leaf whose mean it helped form: the curve is equal bit for bit.
+        if source == "paper":
+            train, _ = split(request.getfixturevalue("aug2700"), SplitSpec())
+            X, y, _ = fit_transform(train)
+            params = dict(n_stages=20)
+        else:
+            X, y = growth_problem("ties", 120, 4, seed=34)
+            params = dict(n_stages=20, max_depth=None, min_samples_leaf=1)
+        model = fit_boosted(X, y, **params)
+        pred = np.full(len(y), model.initial)
+        curve = []
+        for stage in model.stages:
+            pred = pred + model.learning_rate * stage.predict(X)
+            curve.append(float(np.mean((y - pred) ** 2)))
+        assert model.train_mse_curve == curve
+
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):
             fit_boosted(np.zeros((4, 1)), np.zeros(4), learning_rate=0.0)

@@ -35,7 +35,7 @@ from qoe_forge.deep.networks import (
     train_mlp,
     train_tabnet_lite,
 )
-from qoe_forge.errors import DivergenceError
+from qoe_forge.errors import DivergenceError, InvalidArgumentError
 
 from oracles import loop_ghost_batch_norm
 
@@ -506,6 +506,41 @@ class TestTraining:
         best = replace(cfg, max_epochs=net.epochs_run - cfg.patience)
         np.testing.assert_array_equal(net.predict(X),
                                       train_tabnet_lite(X, y, best, seed=2).predict(X))
+
+    def test_tabnet_keeps_its_best_epoch_without_a_model_document(self, monkeypatch):
+        # Each improving epoch encoded the whole net, and the restore decoded
+        # it again; the net now holds the best epoch's arrays.
+        def refuse(*args):
+            raise AssertionError("early stopping went through a model document")
+
+        monkeypatch.setattr(networks.Network, "state", refuse)
+        monkeypatch.setattr(networks.Network, "load_state", refuse)
+        X, y = tiny_regression(n=128)
+        cfg = TabNetConfig(step_dim=8, batch_size=32, virtual_batch=16, max_epochs=60,
+                           patience=2, learning_rate=0.2)
+        net = train_tabnet_lite(X, y, cfg, seed=2)
+        best = train_tabnet_lite(X, y, replace(cfg, max_epochs=net.epochs_run - cfg.patience),
+                                 seed=2)
+        for (name, p), (_, q) in zip(net.param_entries(), best.param_entries()):
+            np.testing.assert_array_equal(p.data, q.data, err_msg=name)
+        for (name, a), (_, b) in zip(net.norm_layers(), best.norm_layers()):
+            np.testing.assert_array_equal(a.running_mean, b.running_mean, err_msg=name)
+            np.testing.assert_array_equal(a.running_var, b.running_var, err_msg=name)
+
+    @pytest.mark.parametrize("n, fraction", [(10, 0.95), (288, 0.999), (4, 0.9)])
+    def test_tabnet_validation_split_of_every_row_is_a_domain_error(self, n, fraction):
+        # It trained on no row: a loss curve of NaN and an untrained net.
+        X, y = tiny_regression(n=n)
+        cfg = replace(SMALL_TABNET, validation_fraction=fraction)
+        with pytest.raises(InvalidArgumentError, match="validation_fraction"):
+            train_tabnet_lite(X, y, cfg, seed=0)
+
+    def test_tabnet_validation_split_may_leave_one_training_row(self):
+        X, y = tiny_regression(n=10)
+        cfg = replace(SMALL_TABNET, validation_fraction=0.9, max_epochs=2)
+        net = train_tabnet_lite(X, y, cfg, seed=0)
+        assert net.epochs_run == 2
+        assert np.isfinite(net.loss_curve).all()
 
     def test_fixed_epoch_training_records_every_epoch(self):
         X, y = tiny_regression()

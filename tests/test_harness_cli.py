@@ -424,6 +424,22 @@ class TestCli:
                      "--config", str(cfg), "--out", str(model)]) == 0
         assert json.loads(model.read_text())["state"]["max_depth"] is None
 
+    def test_tabnet_validation_split_of_every_row_exits_1(self, tmp_path, capsys):
+        # 12 sessions leave 10 training rows, and a fraction of 0.95 held out
+        # round(9.5) = 10 of them: it trained on none and exited 0.
+        base, train, test = tmp_path / "b.csv", tmp_path / "train.csv", tmp_path / "test.csv"
+        model, cfg = tmp_path / "tabnet.json", tmp_path / "c.cfg"
+        cfg.write_text("models.tabnet.validation_fraction = 0.95\n")
+        main(["generate", "--n", "12", "--seed", "1", "--out", str(base)])
+        main(["split", "--in", str(base), "--out-train", str(train), "--out-test", str(test)])
+        assert len(read_csv(train)) == 10
+        capsys.readouterr()
+        assert main(["train", "--in", str(train), "--model", "tabnet",
+                     "--config", str(cfg), "--out", str(model)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: validation_fraction 0.95 holds out all 10 training rows")
+        assert not model.exists()
+
     def test_undefined_metrics_are_null_not_errors(self, tmp_path, capsys):
         # max_depth = 0 is a constant predictor: plcc and srcc are undefined.
         cfg = fast_config(tmp_path, "models.decision_tree.max_depth = 0\n")
